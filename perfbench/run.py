@@ -12,7 +12,12 @@ Workloads (``workloads.WORKLOADS`` says why each exists): ``lookup-dense``,
 (``setup_s``, median of several builds), the bytes per entry of one more
 build under ``tracemalloc``, and then only the public calls of
 ``DcvebArray`` from closed-loop client threads: a warm-up, then ``--seconds``
-measured.  ``--trace 1`` is the per-layer run: a warm-up and a phase with only
+measured.  With one client (both gated workloads) the builds and the calls
+are timed in slices between calibration blocks and scaled to a reference
+host speed (``calibrate.py``), because the host's own speed drifts; the
+unscaled figures are printed as ``raw.*``.
+
+``--trace 1`` is the per-layer run: a warm-up and a phase with only
 a ``gc.callbacks`` hook (GC figures, reference throughput), a phase with spans
 around every layer's entry points (``layers.py``), then the same op lists
 against ``dcveb.bench.LockedOracle`` for reference.
@@ -49,7 +54,8 @@ ROOT = os.path.dirname(HERE)
 SRC = os.path.join(ROOT, "src")
 OUT = os.path.join(HERE, "out")
 
-from clients import Cursor, run_phase  # noqa: E402
+from calibrate import factors, timed_block  # noqa: E402
+from clients import SLICE_OPS, Cursor, run_phase  # noqa: E402
 from workloads import (  # noqa: E402
     FANOUT, OP_NAMES, QUERIES, WORKLOADS, build_plan, list_length, replay_writes,
 )
@@ -101,18 +107,35 @@ def build(factory, keys):
     return structure
 
 
+def timed_build(dcveb, keys):
+    """Construct + prefill in slices of ``SLICE_OPS`` inserts with a
+    calibration block after each: (scaled time, raw time, structure)."""
+    clock = time.perf_counter
+    walls = []
+    calibrations = []
+    t0 = clock()
+    structure = dcveb.DcvebArray(FANOUT)
+    for lo in range(0, len(keys), SLICE_OPS):
+        for k in keys[lo:lo + SLICE_OPS]:
+            structure.insert(k, k)
+        walls.append(clock() - t0)
+        calibrations.append(timed_block())
+        t0 = clock()
+    scaled = sum(w * f for w, f in zip(walls, factors(calibrations)))
+    return scaled, sum(walls), structure
+
+
 def measure_setup(dcveb, keys, repeats: int):
-    """Median wall time of construct + prefill, all the times, and the last
-    structure built."""
+    """Median scaled time of construct + prefill, all the (scaled, raw)
+    times, and the last structure built."""
     times = []
     structure = None
     for _ in range(repeats):
         structure = None
         gc.collect()
-        t0 = time.perf_counter()
-        structure = build(partial(dcveb.DcvebArray, FANOUT), keys)
-        times.append(time.perf_counter() - t0)
-    return statistics.median(times), times, structure
+        scaled, raw, structure = timed_build(dcveb, keys)
+        times.append((scaled, raw))
+    return statistics.median(t[0] for t in times), times, structure
 
 
 def measure_bytes_per_entry(dcveb, keys) -> float:
@@ -216,11 +239,14 @@ def environment(seed: int) -> dict:
 
 def phase_metrics(phase) -> dict:
     """Throughput and p50/p99 latency of the measured part of a phase: each op
-    that ran, and all calls pooled.  Values are (value, unit, samples)."""
-    out = {"throughput_ops_s": (phase.throughput, "1/s", phase.calls)}
+    that ran, and all calls pooled; scaled to the reference speed when the
+    phase is calibrated.  Values are (value, unit, samples)."""
+    scaled = phase.calibrated
+    throughput = phase.calibrated_throughput(True) if scaled else phase.throughput
+    out = {"throughput_ops_s": (throughput, "1/s", phase.calls)}
     pooled = []
     for code, name in enumerate(OP_NAMES):
-        samples = sorted(phase.latencies(code))
+        samples = sorted(phase.latencies(code, scaled))
         if samples:
             pooled.extend(samples)
             out["%s_p50_us" % name] = (percentile(samples, 0.50) * 1e6, "us", len(samples))
@@ -228,6 +254,11 @@ def phase_metrics(phase) -> dict:
     pooled.sort()
     out["latency_p50_us"] = (percentile(pooled, 0.50) * 1e6, "us", len(pooled))
     out["latency_p99_us"] = (percentile(pooled, 0.99) * 1e6, "us", len(pooled))
+    if scaled:
+        out["raw.throughput_ops_s"] = (phase.calibrated_throughput(False), "1/s",
+                                       phase.calls)
+        raw = sorted(x for code in range(len(OP_NAMES)) for x in phase.latencies(code))
+        out["raw.latency_p50_us"] = (percentile(raw, 0.50) * 1e6, "us", len(raw))
     return out
 
 
@@ -242,11 +273,14 @@ def run_untraced(dcveb, plan, spec, seconds: float, warmup: float = WARMUP_S) ->
     setup_s, setup_all, structure = measure_setup(dcveb, plan.prefill, SETUP_REPEATS)
     cursors = [Cursor(ops, exp) for ops, exp in zip(plan.clients, expected)]
     gc.collect()
-    phase = run_phase(structure, cursors, seconds, warmup=warmup)
+    phase = run_phase(structure, cursors, seconds, warmup=warmup,
+                      calibrate=len(cursors) == 1)
     problems, _ = check_end_state(dcveb, structure, expected_state(plan, spec, cursors),
                                   walk=True)
     metrics = phase_metrics(phase)
     metrics["setup_s"] = (setup_s, "s", len(setup_all))
+    metrics["raw.setup_s"] = (statistics.median(t[1] for t in setup_all), "s",
+                              len(setup_all))
     metrics["bytes_per_entry"] = (bytes_per_entry, "B", len(plan.prefill))
     metrics["failed_op_ratio"] = (phase.failed / phase.done, "ratio", phase.done)
     return {

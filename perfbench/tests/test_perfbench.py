@@ -1,15 +1,19 @@
-"""Tests of the benchmark itself: seeded inputs, span arithmetic and tiny runs
-of every workload."""
+"""Tests of the benchmark itself: seeded inputs, span arithmetic, the host-speed
+calibration and tiny runs of every workload."""
 
+import gc
 from array import array
 
 import dcveb
 import dcveb.bench  # noqa: F401 - LockedOracle for the traced run
 import pytest
 
+import calibrate
 import run
 from layers import self_times
-from workloads import DELETE, INSERT, QUERIES, WORKLOADS, build_plan, replay_writes
+from workloads import (
+    DELETE, INSERT, OP_NAMES, QUERIES, WORKLOADS, build_plan, replay_writes,
+)
 
 
 def _lists(plan):
@@ -151,3 +155,44 @@ def test_benchmark_json_matches_the_code(tmp_path):
                             out_dir=str(tmp_path))
     for metric in spec["per_layer"]:
         assert traced["metrics"][metric["name"]][1] == metric["unit"]
+
+
+def test_calibration_factor_is_reference_over_rolling_median():
+    times = [2 * calibrate.REFERENCE_S] * 20
+    times[10] = 100 * calibrate.REFERENCE_S  # one preempted block changes nothing
+    assert calibrate.factors(times) == pytest.approx([0.5] * 20)
+    slow_then_fast = [calibrate.REFERENCE_S] * 40 + [calibrate.REFERENCE_S / 2] * 40
+    got = calibrate.factors(slow_then_fast)
+    assert got[0] == pytest.approx(1.0) and got[-1] == pytest.approx(2.0)
+
+
+def test_calibration_block_leaves_the_gc_count_alone():
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        before = gc.get_count()
+        calibrate.block()
+        assert gc.get_count() == before
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_calibrated_phase_scales_every_sample_of_its_measured_slices():
+    plan = _tiny("lookup-dense")
+    spec = WORKLOADS["lookup-dense"]
+    structure = run.build(dcveb.DcvebArray, plan.prefill)
+    expected = run.expected_answers(dcveb, plan, spec)
+    cursors = [run.Cursor(ops, exp) for ops, exp in zip(plan.clients, expected)]
+    phase = run.run_phase(structure, cursors, 0.3, warmup=0.05, calibrate=True)
+    assert phase.calibrated and phase.failed == 0
+    client = phase.clients[0]
+    measured = phase.measured_slices
+    assert measured[-1][0][2] - client.measured_from[1] == phase.calls
+    for code in range(len(OP_NAMES)):
+        assert len(phase.latencies(code, True)) == len(phase.latencies(code))
+    scale = phase.busy_seconds(True) / phase.busy_seconds(False)
+    factors = [f for _, f in measured]
+    assert min(factors) <= scale <= max(factors)
+    with pytest.raises(ValueError):
+        run.run_phase(structure, cursors * 2, 0.1, calibrate=True)
