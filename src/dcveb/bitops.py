@@ -1,4 +1,4 @@
-"""Bit-vector arithmetic for occupancy summaries and key digit decomposition.
+"""Bit-vector arithmetic for occupancy summaries, and tree-shape arithmetic.
 
 A node with branching factor ``n`` (a power of two, at most the machine word
 width) keeps an ``n``-bit occupancy word.  Child position ``p`` in ``[0, n)``
@@ -18,32 +18,29 @@ import threading
 WORD_BITS = 64
 
 
-class OutOfRangeError(ValueError):
-    """Key does not fit the addressed capacity; the tree must grow first."""
-
-
 class AtomicWord:
     """Integer cell with atomic load and compare-and-set.
 
-    CPython has no hardware CAS; a private mutex provides the
-    compare-and-set atomicity.  Plain loads are safe without it.
+    CPython has no hardware CAS; ``mutex`` provides the compare-and-set
+    atomicity.  Plain loads are safe without it.  The owner of the word may
+    hold ``mutex`` to make other updates atomic with respect to the word's.
     """
 
-    __slots__ = ("_value", "_lock")
+    __slots__ = ("_value", "mutex")
 
     def __init__(self, value: int = 0):
         self._value = value
-        self._lock = threading.Lock()
+        self.mutex = threading.Lock()
 
     def load(self) -> int:
         return self._value
 
     def store(self, value: int) -> None:
-        with self._lock:
+        with self.mutex:
             self._value = value
 
     def compare_and_set(self, expected: int, update: int) -> bool:
-        with self._lock:
+        with self.mutex:
             if self._value == expected:
                 self._value = update
                 return True
@@ -97,11 +94,6 @@ def clear_child(bits: int, p: int, n: int) -> int:
     return bits & ~(1 << (n - 1 - p))
 
 
-def only_child_zero(bits: int, n: int) -> bool:
-    """True iff exactly the bit for child 0 is set."""
-    return bits == 1 << (n - 1)
-
-
 def min_child_above(bits: int, p: int | None, n: int) -> int | None:
     """Smallest child position strictly greater than ``p`` with its bit set.
 
@@ -152,38 +144,6 @@ def atomic_set_child(cell: AtomicWord, p: int, n: int) -> bool:
             return False
         if cell.compare_and_set(s, s | mask):
             return True
-
-
-def digits(key: int, height: int, n: int) -> tuple[int, ...]:
-    """The ``height`` base-``n`` digits of ``key``, most significant first.
-
-    Digit ``k`` is the child position taken at tree level ``k`` on the path
-    to the key's leaf.
-    """
-    if height < 1:
-        raise ValueError("height must be >= 1")
-    if key < 0 or key >= n**height:
-        raise OutOfRangeError(
-            "key %d out of range for height %d (capacity %d)"
-            % (key, height, n**height)
-        )
-    shift = n.bit_length() - 1
-    mask = n - 1
-    return tuple((key >> (shift * (height - 1 - k))) & mask for k in range(height))
-
-
-def undigits(digs, n: int) -> int:
-    """Inverse of :func:`digits`: base-``n`` positional reconstruction."""
-    key = 0
-    for d in digs:
-        key = key * n + d
-    return key
-
-
-def level_digit(key: int, level: int, height: int, n: int) -> int:
-    """Single digit of ``key`` at ``level`` without building the whole tuple."""
-    shift = n.bit_length() - 1
-    return (key >> (shift * (height - 1 - level))) & (n - 1)
 
 
 def required_height(key: int, n: int) -> int:

@@ -1,19 +1,22 @@
 """Concurrent ordered map over integer keys.
 
-The structure is a fixed-fanout tree of nodes.  An internal node holds an
-atomic occupancy summary word plus an array of child slots; a leaf holds one
-(key, value) pair.  A key's path through the tree is its base-n digit
-expansion, so lookups touch one node per digit.  The tree grows by stacking
-new root levels above the old root when a key exceeds the current capacity,
-and trims root levels back off when only the leftmost subtree remains.
+The structure is a fixed-fanout tree of nodes, each an atomic occupancy
+summary word plus an array of child slots.  The slots of the bottom level
+hold immutable ``Entry(key, value)`` objects instead of nodes.  A key's path
+through the tree is its base-n digit expansion, so lookups touch one node per
+digit.  The tree grows by stacking new root levels above the old root when a
+key exceeds the current capacity, and trims root levels back off when only
+the leftmost subtree remains.
 
 Concurrency contract:
 
 * ``get``/``successor``/``predecessor``/``minimum``/``maximum`` take no locks.
 * ``insert`` briefly read-locks the published-root guard, then read-locks one
-  node per level hand over hand; many inserts proceed in parallel.
-* ``delete`` write-locks (parent, child) pairs bottom-up, one pair at a time,
-  and takes the root guard exclusively only while trimming.
+  node per level hand over hand; many inserts proceed in parallel.  It
+  publishes its entry by one slot store under the parent's read lock.
+* ``delete`` empties the entry's slot under the parent's write lock, then
+  write-locks (parent, child) node pairs bottom-up, one pair at a time, and
+  takes the root guard exclusively only while trimming.
 * All locks are fair; no operation ever holds more than two node locks.
 
 Nodes detached from the tree stay readable by threads that still hold
@@ -23,7 +26,6 @@ lets the query paths run unlocked.
 
 from __future__ import annotations
 
-import threading
 from typing import Any, NamedTuple, Optional
 
 from .bitops import (
@@ -53,27 +55,22 @@ class Capacity(NamedTuple):
 
 
 class Node:
-    """One tree node.
+    """One tree node: an occupancy ``summary`` word, ``n`` child slots and a
+    fair readers-writer ``lock``.
 
-    Internal role: ``summary`` + ``children`` + a slot-CAS guard.  Leaf role:
-    ``data``/``index`` only (``index`` is -1 while the slot is vacant).  The
-    role is fixed at creation; growth and trimming shift levels, not roles.
+    Above the bottom level a slot holds a child ``Node``; at the bottom level
+    it holds an immutable :class:`Entry` whose key is the slot's path key.
+    ``None`` marks an empty slot.  ``bits`` is the initial summary.  The
+    summary word's mutex also serializes ``cas_child``, so a node owns two
+    lock objects: that mutex and ``lock``.
     """
 
-    __slots__ = ("summary", "children", "data", "index", "lock", "_slot_cas")
+    __slots__ = ("summary", "children", "lock")
 
-    def __init__(self, n: int, leaf: bool):
-        self.data = None
-        self.index = -1
+    def __init__(self, n: int, bits: int):
+        self.summary = AtomicWord(bits)
+        self.children = [None] * n
         self.lock = FairRWLock()
-        if leaf:
-            self.summary = None
-            self.children = None
-            self._slot_cas = None
-        else:
-            self.summary = AtomicWord(0)
-            self.children = [None] * n
-            self._slot_cas = threading.Lock()
 
     def cas_child(self, pos: int, candidate: "Node") -> "Node":
         """Install ``candidate`` at ``pos`` if the slot is empty.
@@ -81,7 +78,7 @@ class Node:
         Returns the slot's occupant, i.e. ``candidate`` on success or the
         node a racing inserter installed first.
         """
-        with self._slot_cas:
+        with self.summary.mutex:
             current = self.children[pos]
             if current is None:
                 self.children[pos] = candidate
@@ -104,10 +101,10 @@ class Trail:
     """Nodes and child positions visited on the way toward a key.
 
     ``nodes[k]``/``slots[k]`` describe level ``k``.  ``depth`` is the number
-    of levels fully traversed: ``depth == height`` means the leaf was reached
-    and is stored in ``node``.  On an early stop, entry ``depth`` is still
-    recorded (the node whose summary bit was clear, or whose child slot was
-    empty; ``node`` is None in the latter case) so that resumable searches
+    of levels fully traversed: ``depth == height`` means the key's entry was
+    reached and is stored in ``node``.  On an early stop, entry ``depth`` is
+    still recorded (the node whose summary bit was clear, or whose child slot
+    was empty; ``node`` is None in the latter case) so that resumable searches
     have a defined frame at the stop level.
     """
 
@@ -148,7 +145,7 @@ class DcvebArray:
         self._max_rep = max_rep
         self._hooks = hooks
         self._ap_lock = FairRWLock()
-        self._ap = AtomicReference(TreeParams(branching, 1, Node(branching, False)))
+        self._ap = AtomicReference(TreeParams(branching, 1, Node(branching, 0)))
 
     # -- introspection ---------------------------------------------------
 
@@ -168,7 +165,8 @@ class DcvebArray:
         return self._ap.load()
 
     def _check_key(self, key) -> None:
-        if not isinstance(key, int) or key < 0 or key >= self._key_limit:
+        if (not isinstance(key, int) or isinstance(key, bool)
+                or key < 0 or key >= self._key_limit):
             raise ValueError(
                 "key must be an int in [0, %d), got %r" % (self._key_limit, key)
             )
@@ -194,10 +192,7 @@ class DcvebArray:
             if node is None:
                 return None
             level += 1
-        value = node.data
-        if value is None:
-            return None
-        return Entry(key, value)
+        return node  # the bottom-level slot's Entry
 
     def successor(self, key: int) -> Optional[Entry]:
         """Entry with the smallest key' >= key, or None.
@@ -239,13 +234,7 @@ class DcvebArray:
         slots = trail.slots
         level = trail.depth
         if level == h:
-            leaf = trail.node
-            level = h - 1
-            if leaf is not None:
-                value = leaf.data
-                index = leaf.index
-                if value is not None and index != -1:
-                    return Entry(index, value)
+            return trail.node
         sideways = min_child_above if ascending else max_child_below
         while True:
             # climb until some sibling subtree remains on the search side
@@ -269,12 +258,7 @@ class DcvebArray:
                     break
                 level += 1
                 if level == h:
-                    value = child.data
-                    index = child.index
-                    if value is not None and index != -1:
-                        return Entry(index, value)
-                    level -= 1
-                    break
+                    return child
                 q = sideways(child.summary.load(), None, n)
                 if q is None:
                     # subtree emptied under us: resume at its parent level
@@ -289,61 +273,79 @@ class DcvebArray:
         if value is None:
             raise ValueError("value must not be None (None marks vacant slots)")
         hooks = self._hooks
-        ap_lock = self._ap_lock
-        ap_lock.acquire_read()
-        params = self._ap.load()
-        if hooks is not None:
-            hooks("insert-snapshot")
-        params.root.lock.acquire_read()
-        ap_lock.release_read()
-        grew = False
-        while key >= params.size:
-            new_params = self._grow(key, params)
-            new_params.root.lock.acquire_read()
-            if hooks is not None:
-                hooks("grow-pre-publish")
-            published = self._ap.compare_and_set(params, new_params)
-            params.root.lock.release_read()
-            if published:
-                params = new_params
-                grew = True
-                break
-            # lost the publish race: drop the unpublished top and retry
-            new_params.root.lock.release_read()
-            ap_lock.acquire_read()
-            params = self._ap.load()
-            params.root.lock.acquire_read()
-            ap_lock.release_read()
-        n = self._n
-        shift = self._shift
-        mask = self._mask
-        h = params.height
-        node = params.root
-        prev = None
-        level = 0
-        while level < h:
-            digit = (key >> (shift * (h - 1 - level))) & mask
-            if level != 0:
-                node.lock.acquire_read()
-                prev.lock.release_read()
-            prev = node
-            summary = node.summary
-            if summary.load() & (1 << (n - 1 - digit)) == 0:
-                atomic_set_child(summary, digit, n)
-            child = node.children[digit]
-            if child is None:
-                child = node.cas_child(digit, Node(n, level + 1 == h))
-            node = child
-            level += 1
-        node.data = value
-        node.index = key
-        prev.lock.release_read()
+        params = self._pin_root()
+        held = params.root  # the one node whose read lock this call holds
+        try:
+            grew = False
+            while key >= params.size:
+                new_params = self._grow(key, params)
+                # the new top is private until published: locking it cannot
+                # block, and an exception before the publish leaves it locked
+                # but unreachable
+                new_params.root.lock.acquire_read()
+                if hooks is not None:
+                    hooks("grow-pre-publish")
+                published = self._ap.compare_and_set(params, new_params)
+                held.lock.release_read()
+                held = new_params.root
+                if published:
+                    params = new_params
+                    grew = True
+                    break
+                # lost the publish race: drop the unpublished top and retry
+                held.lock.release_read()
+                held = None
+                params = self._pin_root()
+                held = params.root
+            n = self._n
+            shift = self._shift
+            mask = self._mask
+            last = params.height - 1
+            node = held
+            level = 0
+            while True:
+                digit = (key >> (shift * (last - level))) & mask
+                summary = node.summary
+                if summary.load() & (1 << (n - 1 - digit)) == 0:
+                    atomic_set_child(summary, digit, n)
+                if level == last:
+                    # one reference store publishes the entry, so a reader
+                    # sees either the old occupant or the whole new entry
+                    node.children[digit] = Entry(key, value)
+                    break
+                child = node.children[digit]
+                if child is None:
+                    child = node.cas_child(digit, Node(n, 0))
+                child.lock.acquire_read()
+                node.lock.release_read()
+                held = node = child
+                level += 1
+        finally:
+            if held is not None:
+                held.lock.release_read()
         if grew:
             # the new top claims child 0 unconditionally (concurrent inserts
             # may still be landing in the adopted old tree), so when the old
             # tree was actually empty the all-zeros spine is stale; verify
             # and strip it now that the top is published
             self._clean_residue(0)
+
+    def _pin_root(self) -> TreeParams:
+        """Snapshot the published parameters and read-lock their root.
+
+        The root guard's read lock spans both steps, so no trim can pop the
+        root in between.
+        """
+        ap_lock = self._ap_lock
+        ap_lock.acquire_read()
+        try:
+            params = self._ap.load()
+            if self._hooks is not None:
+                self._hooks("insert-snapshot")
+            params.root.lock.acquire_read()
+        finally:
+            ap_lock.release_read()
+        return params
 
     def _grow(self, key: int, params: TreeParams) -> TreeParams:
         """Build (privately) a taller top whose deepest new level adopts the
@@ -354,8 +356,7 @@ class DcvebArray:
         top_size = new_height - params.height
         prev = None
         for i in range(top_size):
-            node = Node(n, False)
-            node.summary.store(child_mask(0, n))
+            node = Node(n, child_mask(0, n))
             if i == 0:
                 new_params.root = node
             else:
@@ -413,64 +414,68 @@ class DcvebArray:
         return Trail(nodes, slots, h, node)
 
     def _delete_internal(self, params: TreeParams, trail: Trail) -> bool:
-        """Clear the leaf, then walk up clearing occupancy bits level by level.
+        """Empty the entry's slot, then walk up clearing occupancy bits.
 
-        Each step locks a (parent, child) pair top-down, so lock order always
-        follows tree levels and never deadlocks against descending inserts.
-        A node whose summary reaches zero drops its whole child array; nodes
-        kept alive by siblings stay referenced with their bit cleared.
-        Returns False when the leaf slot no longer holds the leaf we resolved
-        (it was emptied and rebuilt since the path snapshot), in which case
-        this call linearizes before the rebuild and touches nothing.
+        The slot is re-read under the parent's write lock.  An empty slot
+        means the key was absent at that moment (another delete got there
+        first, or the branch was emptied since the path snapshot), so this
+        call linearizes there, touches nothing and returns False.  Any
+        entry found is removed, whether or not it is the one the trail saw:
+        ``insert`` overwrites in place, so the key stayed present throughout.
+        Above the bottom level each step locks a (parent, child) pair
+        top-down, so lock order follows tree levels and never deadlocks
+        against descending inserts.
         """
         n = self._n
-        h = params.height
         nodes = trail.nodes
         slots = trail.slots
-        leaf = trail.node
-        parent = nodes[h - 1]
+        level = params.height - 1
+        parent = nodes[level]
+        digit = slots[level]
         parent.lock.acquire_write()
-        leaf.lock.acquire_write()
-        if parent.children[slots[h - 1]] is not leaf:
-            leaf.lock.release_write()
+        try:
+            if parent.children[digit] is None:
+                return False
+            parent.children[digit] = None
+            summary = clear_child(parent.summary.load(), digit, n)
+            parent.summary.store(summary)
+            if summary == 0:
+                parent.children = [None] * n
+        finally:
             parent.lock.release_write()
-            return False
-        leaf.data = None
-        leaf.index = -1
-        below = leaf
-        level = h - 1
-        while level >= 0:
-            node = nodes[level]
-            digit = slots[level]
-            if level == h - 1:
-                # pair locks already held from the prologue
-                summary = clear_child(node.summary.load(), digit, n)
+        if summary == 0:
+            for level in range(level - 1, -1, -1):
+                if not self._clear_if_empty(nodes[level], slots[level], nodes[level + 1]):
+                    break
+        return True
+
+    def _clear_if_empty(self, node: Node, digit: int, child: Node) -> bool:
+        """Clear ``node``'s bit for ``digit`` if ``child`` still fills that
+        slot and is empty, both re-checked under the pair's write locks.
+
+        A node whose summary reaches zero drops its whole child array; nodes
+        kept alive by siblings stay referenced with their bit cleared.
+        Returns True when ``node`` itself became empty: only then may the
+        level above need clearing too.
+        """
+        n = self._n
+        node.lock.acquire_write()
+        try:
+            child.lock.acquire_write()
+            try:
+                summary = node.summary.load()
+                if (node.children[digit] is not child or child.summary.load() != 0
+                        or not has_child(summary, digit, n)):
+                    return False
+                summary = clear_child(summary, digit, n)
                 node.summary.store(summary)
                 if summary == 0:
                     node.children = [None] * n
-                below.lock.release_write()
-                node.lock.release_write()
-                if summary != 0:
-                    return True
-            else:
-                node.lock.acquire_write()
-                below.lock.acquire_write()
-                altered = False
-                if node.children[digit] is below and below.summary.load() == 0:
-                    summary = node.summary.load()
-                    if has_child(summary, digit, n):
-                        summary = clear_child(summary, digit, n)
-                        node.summary.store(summary)
-                        altered = True
-                        if summary == 0:
-                            node.children = [None] * n
-                below.lock.release_write()
-                node.lock.release_write()
-                if not altered:
-                    return True
-            level -= 1
-            below = node
-        return True
+                return summary == 0
+            finally:
+                child.lock.release_write()
+        finally:
+            node.lock.release_write()
 
     def _clean_residue(self, key: int) -> None:
         """Re-verify the current path toward ``key`` and strip stale bits.
@@ -485,42 +490,16 @@ class DcvebArray:
         params = self._ap.load()
         if key >= params.size:
             return
-        n = self._n
-        h = params.height
         trail = self._make_path(key, params)
-        if trail.depth == h:
-            start = h - 1  # full path: begin at the (parent, leaf) edge
-        elif trail.node is None:
-            start = trail.depth  # stopped on an empty slot: verify that edge
-        else:
-            # stopped on a clear bit: that node may itself be an empty
-            # residue, so begin at the edge above it
-            start = trail.depth - 1
-        for level in range(start, -1, -1):
-            node = trail.nodes[level]
-            digit = trail.slots[level]
-            node.lock.acquire_write()
-            child = node.children[digit]
-            if child is None:
-                node.lock.release_write()
-                return
-            child.lock.acquire_write()
-            if level == h - 1:
-                empty = child.data is None
-            else:
-                empty = child.summary.load() == 0
-            altered = False
-            if empty:
-                summary = node.summary.load()
-                if has_child(summary, digit, n):
-                    summary = clear_child(summary, digit, n)
-                    node.summary.store(summary)
-                    altered = True
-                    if summary == 0:
-                        node.children = [None] * n
-            child.lock.release_write()
-            node.lock.release_write()
-            if not altered:
+        if trail.node is None or trail.depth == params.height:
+            # stopped on an empty slot under a set bit, or reached an entry:
+            # either anchors every level above
+            return
+        # stopped on a clear bit: that node may itself be an empty residue,
+        # so begin at the edge above it
+        nodes = trail.nodes
+        for level in range(trail.depth - 1, -1, -1):
+            if not self._clear_if_empty(nodes[level], trail.slots[level], nodes[level + 1]):
                 return
 
     def _trim_top(self) -> None:
@@ -545,17 +524,17 @@ class DcvebArray:
             root = params.root
             ap_lock.acquire_write()
             root.lock.acquire_write()
-            if root.summary.load() == only_zero:
-                # fetch the lonely child under the locks: its slot may have
-                # been wiped and rebuilt since the summary was first read
-                lonely = root.children[0]
-                if lonely is None:
-                    root.lock.release_write()
-                    ap_lock.release_write()
-                    return
-                new_params = TreeParams(
-                    capacity(params.height - 1, n), params.height - 1, lonely
-                )
-                self._ap.compare_and_set(params, new_params)
-            root.lock.release_write()
-            ap_lock.release_write()
+            try:
+                if root.summary.load() == only_zero:
+                    # fetch the lonely child under the locks: its slot may
+                    # have been wiped and rebuilt since the summary was read
+                    lonely = root.children[0]
+                    if lonely is None:
+                        return
+                    new_params = TreeParams(
+                        capacity(params.height - 1, n), params.height - 1, lonely
+                    )
+                    self._ap.compare_and_set(params, new_params)
+            finally:
+                root.lock.release_write()
+                ap_lock.release_write()

@@ -156,8 +156,9 @@ def _grow_vs_delete_residue() -> list[str]:
 
 
 def _two_inserters_one_parent() -> list[str]:
-    """Two inserts race to materialize sibling leaves under one parent; the
-    slot CAS and the summary CAS loop must keep both."""
+    """Two inserts race to materialize one shared parent and then store
+    sibling entries in it; the slot CAS and the summary CAS loop must keep
+    both."""
     array = DcvebArray(branching=64)
     barrier = threading.Barrier(2)
 

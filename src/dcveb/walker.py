@@ -2,9 +2,10 @@
 
 With no operations in flight, a full recursive walk of the tree must find
 every occupancy bit telling the truth (set implies a non-empty child subtree,
-clear implies an absent or empty one), every leaf's vacancy fields agreeing,
-and the set of live entries identical to what chained successor calls
-enumerate.  The walker also checks the closed-form bound on how many internal
+clear implies an absent or empty one), nodes in every slot above the bottom
+level and entries in every bottom-level slot, each entry's key equal to its
+path key, and the set of live entries identical to what chained successor
+calls enumerate.  The walker also checks the closed-form bound on how many internal
 nodes a tree of the current height may retain.
 """
 
@@ -12,9 +13,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .core import Entry
+
 
 @dataclass
 class WalkReport:
+    """Walk counts and violations.  ``leaf_node_count`` counts the entries
+    found in bottom-level slots."""
+
+
     element_count: int = 0
     internal_node_count: int = 0
     leaf_node_count: int = 0
@@ -43,41 +50,45 @@ def quiescent_walk(array) -> WalkReport:
             ("", "internal-node-bound", (report.internal_node_count, bound))
         )
     entries.sort(key=lambda e: e[0])
-    chained = _successor_chain(array, min(params.size, array._key_limit))
-    if entries != chained:
-        report.violations.append(("", "enumeration-mismatch", (len(entries), len(chained))))
+    try:
+        chained = _successor_chain(array, min(params.size, array._key_limit))
+    except (AttributeError, TypeError) as exc:  # a slot of the wrong kind
+        report.violations.append(("", "enumeration-failed", repr(exc)))
+    else:
+        if entries != chained:
+            report.violations.append(
+                ("", "enumeration-mismatch", (len(entries), len(chained))))
     report.element_count = len(entries)
     return report
 
 
 def _walk(node, level, height, n, key_prefix, path, report, entries) -> int:
     """Recursive invariant check; returns the subtree's live entry count."""
-    if level == height:
-        report.leaf_node_count += 1
-        data = node.data
-        index = node.index
-        if (data is None) != (index == -1):
-            report.violations.append((path, "leaf-vacancy-disagree", (data, index)))
-        if data is None:
-            return 0
-        if index != key_prefix:
-            report.violations.append((path, "leaf-index-mismatch", (index, key_prefix)))
-        entries.append((key_prefix, data))
-        return 1
     report.internal_node_count += 1
     summary = node.summary.load()
     if summary >> n:
         report.violations.append((path, "summary-high-bits", summary))
+    bottom = level + 1 == height
     children = node.children
     total = 0
     for p in range(n):
         child = children[p]
         count = 0
         if child is not None:
-            count = _walk(
-                child, level + 1, height, n, key_prefix * n + p,
-                "%s/%d" % (path, p), report, entries,
-            )
+            key = key_prefix * n + p
+            where = "%s/%d" % (path, p)
+            if isinstance(child, Entry) != bottom:
+                report.violations.append((where, "slot-kind-mismatch",
+                                          type(child).__name__))
+            elif bottom:
+                report.leaf_node_count += 1
+                if child.key != key:
+                    report.violations.append((where, "entry-key-mismatch",
+                                              (child.key, key)))
+                entries.append((key, child.value))
+                count = 1
+            else:
+                count = _walk(child, level + 1, height, n, key, where, report, entries)
         if summary & (1 << (n - 1 - p)):
             if child is None:
                 report.violations.append((path, "bit-set-child-missing", p))
@@ -111,26 +122,26 @@ def structure_fingerprint(array) -> tuple:
     """Canonical immutable snapshot of the whole physical structure.
 
     Two arrays with equal fingerprints hold identical node shapes, summary
-    words, leaf contents and published parameters, so their future sequential
+    words, entries and published parameters, so their future sequential
     behavior is identical.
     """
     params = array._params()
     return (
         params.size,
         params.height,
-        _fingerprint(params.root, 0, params.height),
+        _fingerprint(params.root),
     )
 
 
-def _fingerprint(node, level, height):
-    if level == height:
-        return ("leaf", node.data, node.index)
+def _fingerprint(slot):
+    if isinstance(slot, Entry):
+        return ("entry", slot.key, slot.value)
     return (
         "node",
-        node.summary.load(),
+        slot.summary.load(),
         tuple(
-            (p, _fingerprint(child, level + 1, height))
-            for p, child in enumerate(node.children)
+            (p, _fingerprint(child))
+            for p, child in enumerate(slot.children)
             if child is not None
         ),
     )

@@ -9,7 +9,12 @@ import time
 
 from dcveb.bench import WorkloadConfig, run_workload
 from dcveb.core import DcvebArray
-from dcveb.history import check_linearizable, record_history, replay_witness
+from dcveb.history import (
+    check_linearizable,
+    record_history,
+    replay_witness,
+    write_history,
+)
 from dcveb.oracle import OracleMap
 from dcveb.scenarios import (
     StressConfig,
@@ -127,15 +132,20 @@ def test_exhaustive_small_space():
     )
 
 
-def test_linearizability():
+def test_linearizability(tmp_path):
     started = time.perf_counter()
     rejected_valid = 0
     broken_witness = 0
+    kept = ""
     for seed in range(1000):
         events = record_history(3, (seed % 4) + 1, 8, seed=seed)
         result = check_linearizable(events)
         if not result.ok:
             rejected_valid += 1
+            if not kept:
+                # keep the first rejected history: it is the reproduction
+                kept = str(tmp_path / ("rejected-seed%d.history" % seed))
+                write_history(events, kept)
         elif not replay_witness(result.witness):
             broken_witness += 1
     accepted_invalid = sum(
@@ -146,8 +156,9 @@ def test_linearizability():
         "linearizability",
         rejected_valid == 0 and broken_witness == 0 and accepted_invalid == 0
         and elapsed < 300.0,
-        "rejected_valid=%d broken_witness=%d accepted_invalid=%d runtime=%.1fs"
-        % (rejected_valid, broken_witness, accepted_invalid, elapsed),
+        "rejected_valid=%d broken_witness=%d accepted_invalid=%d runtime=%.1fs%s"
+        % (rejected_valid, broken_witness, accepted_invalid, elapsed,
+           " first_rejected=" + kept if kept else ""),
     )
 
 
@@ -207,7 +218,7 @@ def test_memory_bound():
 def test_scripted_races():
     details = []
     ok = True
-    for name in ("insert-vs-trim", "grow-vs-delete-residue"):
+    for name in ("insert-vs-trim", "grow-vs-delete-residue", "two-inserters-one-parent"):
         report = run_scenario(name, iterations=1000)
         ok = ok and report.passed
         details.append("%s failures=%d" % (name, len(report.failures)))

@@ -6,20 +6,15 @@ from hypothesis import strategies as st
 
 from dcveb.bitops import (
     AtomicWord,
-    OutOfRangeError,
     atomic_set_child,
     capacity,
     check_branching,
     child_mask,
     clear_child,
-    digits,
-    level_digit,
     max_child_below,
     min_child_above,
-    only_child_zero,
     required_height,
     has_child,
-    undigits,
 )
 
 
@@ -122,17 +117,6 @@ class TestNeighborScans:
         assert max_child_below(bits, p, 64) == brute_max_below(bits, p, 64)
 
 
-class TestOnlyChildZero:
-    def test_true_case(self):
-        assert only_child_zero(child_mask(0, 8), 8)
-
-    def test_empty_is_false(self):
-        assert not only_child_zero(0, 8)
-
-    def test_two_children_false(self):
-        assert not only_child_zero(child_mask(0, 8) | child_mask(1, 8), 8)
-
-
 class TestAtomicSetChild:
     def test_fresh_set(self):
         cell = AtomicWord(0)
@@ -174,42 +158,6 @@ class TestAtomicSetChild:
         assert cell.load() == 0b11111111
 
 
-class TestDigits:
-    def test_two_level_example(self):
-        assert digits(130, 2, 64) == (2, 2)
-
-    def test_zero_is_leftmost_path(self):
-        assert digits(0, 5, 16) == (0, 0, 0, 0, 0)
-
-    def test_binary_digits(self):
-        assert digits(5, 3, 2) == (1, 0, 1)
-
-    def test_out_of_range(self):
-        with pytest.raises(OutOfRangeError):
-            digits(64, 1, 64)
-
-    @settings(max_examples=200)
-    @given(st.integers(min_value=0, max_value=64**4 - 1))
-    def test_round_trip(self, key):
-        assert undigits(digits(key, 4, 64), 64) == key
-
-    @settings(max_examples=200)
-    @given(
-        key=st.integers(min_value=0, max_value=8**3 - 1),
-        extra=st.integers(min_value=0, max_value=4),
-    )
-    def test_prefix_stability_under_growth(self, key, extra):
-        base = digits(key, 3, 8)
-        grown = digits(key, 3 + extra, 8)
-        assert grown == (0,) * extra + base
-
-    def test_level_digit_matches_digits(self):
-        for key in (0, 1, 63, 64, 130, 4095, 2**31 - 1):
-            h = required_height(key, 64)
-            expanded = digits(key, h, 64)
-            assert all(level_digit(key, k, h, 64) == expanded[k] for k in range(h))
-
-
 class TestHeightAndCapacity:
     def test_max_int31(self):
         assert required_height(2**31 - 1, 64) == 6
@@ -222,7 +170,6 @@ class TestHeightAndCapacity:
 
     def test_exact_power_needs_next_level(self):
         assert required_height(64, 64) == 2
-        assert digits(64, 2, 64) == (1, 0)
 
     def test_capacity_values(self):
         assert capacity(1, 64) == 64

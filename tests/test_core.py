@@ -37,13 +37,20 @@ class TestConstruction:
 
     def test_key_domain_enforced(self):
         array = DcvebArray(branching=64, key_bits=16)
-        for bad in (-1, 1 << 16, "7", 2.0):
+        for bad in (-1, 1 << 16, "7", 2.0, True, False):
             with pytest.raises(ValueError):
                 array.get(bad)
             with pytest.raises(ValueError):
                 array.insert(bad, "x")
             with pytest.raises(ValueError):
                 array.delete(bad)
+
+    def test_bool_key_rejected(self):
+        array = make_array()
+        with pytest.raises(ValueError):
+            array.insert(True, "t")
+        assert array.get(1) is None
+        assert array.minimum() is None
 
     def test_none_value_rejected(self):
         with pytest.raises(ValueError):
@@ -121,13 +128,13 @@ class TestDelete:
         array.insert(131, "B")  # digits (2, 3)
         root = array._params().root
         parent = root.children[2]
-        leaf = parent.children[2]
         array.delete(130)
-        # parent keeps exactly the sibling's bit; the cleared leaf husk may
-        # stay referenced
+        # parent stays in place, keeps exactly the sibling's bit and has the
+        # deleted key's slot emptied
+        assert root.children[2] is parent
         assert parent.summary.load() == 1 << (64 - 1 - 3)
-        assert parent.children[2] is leaf
-        assert leaf.data is None and leaf.index == -1
+        assert parent.children[2] is None
+        assert parent.children[3] == Entry(131, "B")
         assert array.get(131) == Entry(131, "B")
         assert quiescent_walk(array).ok()
 
@@ -156,16 +163,19 @@ class TestDelete:
         assert array.get(130) == Entry(130, "C")
         assert quiescent_walk(array).ok()
 
-    def test_husk_leaf_is_reused(self):
+    def test_shared_parent_reused_with_new_entry(self):
         array = make_array()
         array.insert(130, "A")
         array.insert(131, "B")
-        parent = array._params().root.children[2]
-        leaf = parent.children[2]
+        root = array._params().root
+        parent = root.children[2]
+        old = parent.children[2]
         array.delete(130)
         array.insert(130, "again")
-        assert parent.children[2] is leaf
-        assert array.get(130) == Entry(130, "again")
+        assert root.children[2] is parent
+        assert parent.children[2] == Entry(130, "again")
+        assert parent.children[2] is not old
+        assert array.get(130) is parent.children[2]
 
 
 class TestTrim:
@@ -282,6 +292,7 @@ class TestPathResolution:
         # each recorded node was read from the previous one's claimed slot
         assert trail.nodes[1] is params.root.children[2]
         assert trail.node is trail.nodes[1].children[2]
+        assert trail.node == Entry(130, "C")
 
     def test_adjacent_key_misses_at_leaf_level(self):
         array = make_array()

@@ -3,6 +3,8 @@ the test hooks, plus the hook surface itself."""
 
 import threading
 
+import pytest
+
 from dcveb.core import DcvebArray, Entry
 from dcveb.walker import quiescent_walk
 
@@ -16,7 +18,7 @@ def test_hook_points_fire_in_order():
     array.insert(3, "keep")
     assert points == ["insert-snapshot"]
     points.clear()
-    array.delete(70)  # snapshot, leaf cleared, then a trim attempt
+    array.delete(70)  # snapshot, entry cleared, then a trim attempt
     assert points == ["delete-snapshot", "delete-cleared", "trim-pre-publish"]
 
 
@@ -64,8 +66,9 @@ def test_paused_delete_removes_rebuilt_entry():
 def test_stale_trail_delete_aborts_without_touching_rebuild():
     # White box: resolve a path, let the branch be emptied (child arrays
     # dropped) and rebuilt, then run the deletion pass with the stale trail.
-    # The under-lock identity check must abort it, leaving the rebuilt entry
-    # alone; the aborted delete linearizes before the re-insert.
+    # The stale parent's slot is empty under its lock, so the pass aborts and
+    # leaves the rebuilt entry alone; the aborted delete linearizes between
+    # the other delete and the re-insert.
     array = DcvebArray(branching=64)
     array.insert(130, "old")
     params = array._params()
@@ -78,17 +81,35 @@ def test_stale_trail_delete_aborts_without_touching_rebuild():
     assert quiescent_walk(array).ok()
 
 
-def test_delete_lands_on_resurrected_leaf_object():
-    # Same shape, but a sibling keeps the parent (and thus the same leaf
-    # object) alive across B's delete+reinsert.  A's identity check passes
-    # and its delete takes effect last: the key ends up absent.
+def test_stale_trail_delete_after_overwrite_removes_key():
+    # White box: resolve a path, overwrite the key (a new Entry lands in the
+    # same slot), then run the deletion pass with the old trail.  The key was
+    # present throughout, so the delete must take effect and leave it absent;
+    # aborting because the slot no longer holds the trail's Entry would not be
+    # linearizable.
+    array = DcvebArray(branching=64)
+    array.insert(130, "old")
+    params = array._params()
+    stale = array._make_path(130, params)
+    array.insert(130, "new")
+    assert stale.node != array._params().root.children[2].children[2]
+    assert array._delete_internal(params, stale) is True
+    assert array.get(130) is None
+    assert quiescent_walk(array).ok()
+
+
+def test_delete_lands_on_reused_parent_node():
+    # Same shape, but a sibling keeps the parent node alive across B's
+    # delete+reinsert, so the new entry lands in the same node.  A resolves
+    # its path after B and its delete takes effect last: the key ends up
+    # absent.
     in_window = threading.Event()
     resume = threading.Event()
     array = DcvebArray(branching=64,
                        hooks=_pause_once_at("delete-snapshot", in_window, resume))
     array.insert(130, "old")
     array.insert(131, "sibling")
-    leaf_before = array._params().root.children[2].children[2]
+    parent_before = array._params().root.children[2]
 
     def stale_deleter():
         array.delete(130)
@@ -105,7 +126,7 @@ def test_delete_lands_on_resurrected_leaf_object():
         t.start()
     for t in threads:
         t.join(10)
-    assert array._params().root.children[2].children[2] is leaf_before
+    assert array._params().root.children[2] is parent_before
     assert array.get(130) is None
     assert array.get(131) == Entry(131, "sibling")
     assert quiescent_walk(array).ok()
@@ -118,3 +139,32 @@ def test_walker_flags_summary_high_bits():
     root.summary.store(root.summary.load() | (1 << 60))
     report = quiescent_walk(array)
     assert any(v[1] == "summary-high-bits" for v in report.violations)
+
+
+@pytest.mark.parametrize("point", ["insert-snapshot", "grow-pre-publish"])
+def test_raising_hook_leaks_no_lock(point):
+    # A hook that raises inside insert's lock-held regions must not leave the
+    # root guard or a node lock held: the delete below needs the parent and
+    # root write locks and then the guard's write lock to trim.
+    armed = [False]
+
+    def hooks(name):
+        if name == point and armed[0]:
+            armed[0] = False
+            raise RuntimeError("injected at " + name)
+
+    array = DcvebArray(branching=64, hooks=hooks)
+    array.insert(3, "keep")
+    array.insert(70, "drop")  # height 2; root children {0, 1}
+    armed[0] = True
+    with pytest.raises(RuntimeError):
+        array.insert(5000, "grow")  # needs height 3
+    deleter = threading.Thread(target=array.delete, args=(70,), daemon=True)
+    deleter.start()
+    deleter.join(10)
+    assert not deleter.is_alive(), "delete blocked on a leaked lock"
+    assert array.capacity_snapshot().height == 1
+    array.insert(5000, "grow")
+    assert array.get(5000) == Entry(5000, "grow")
+    assert array.get(3) == Entry(3, "keep")
+    assert quiescent_walk(array).ok()

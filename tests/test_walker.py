@@ -2,7 +2,7 @@ import random
 
 
 from dcveb.bitops import child_mask
-from dcveb.core import DcvebArray
+from dcveb.core import DcvebArray, Entry, Node
 from dcveb.walker import quiescent_walk, structure_fingerprint
 
 
@@ -66,13 +66,28 @@ def test_detects_hidden_live_entry():
     assert "enumeration-mismatch" in names
 
 
-def test_detects_leaf_vacancy_disagreement():
+def test_detects_entry_key_mismatch():
     array = DcvebArray()
     array.insert(5, "A")
-    leaf = array._params().root.children[5]
-    leaf.index = -1  # value still present
+    array._params().root.children[5] = Entry(6, "A")  # key is not its path key
     report = quiescent_walk(array)
-    assert any(v[1] == "leaf-vacancy-disagree" for v in report.violations)
+    assert ("/5", "entry-key-mismatch", (6, 5)) in report.violations
+
+
+def test_detects_node_in_bottom_level_slot():
+    array = DcvebArray()
+    array.insert(5, "A")
+    array._params().root.children[5] = Node(64, 0)
+    report = quiescent_walk(array)
+    assert ("/5", "slot-kind-mismatch", "Node") in report.violations
+
+
+def test_detects_entry_above_bottom_level():
+    array = DcvebArray()
+    array.insert(130, "C")
+    array._params().root.children[2] = Entry(2, "C")
+    report = quiescent_walk(array)
+    assert ("/2", "slot-kind-mismatch", "Entry") in report.violations
 
 
 def test_walk_with_maximum_legal_key():
