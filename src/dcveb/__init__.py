@@ -6,6 +6,7 @@ recording, linearizability checking, scripted races, stress, quiescent
 walking) and the benchmark workload runner.
 """
 
+from .bench import DeadlockSuspectedError
 from .core import Capacity, DcvebArray, Entry
 from .history import (
     CheckResult,
@@ -21,9 +22,7 @@ from .history import (
 from .oracle import OracleMap, apply_op
 from .rwlock import FairRWLock
 from .scenarios import (
-    DeadlockSuspectedError,
     ScenarioReport,
-    StressConfig,
     run_scenario,
     scenario_names,
     stress,
@@ -42,7 +41,6 @@ __all__ = [
     "MalformedHistoryError",
     "OracleMap",
     "ScenarioReport",
-    "StressConfig",
     "WalkReport",
     "apply_op",
     "check_linearizable",

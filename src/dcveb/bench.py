@@ -4,6 +4,9 @@ Four thread groups (getters, inserters, removers, successor searchers) each
 perform the same number of calls against a pluggable dynamic-set adapter,
 with per-thread wall time as the measurement.  Key sequences are derived
 from (seed, group, thread index) only, so every adapter sees identical work.
+``run_workload`` is the one thread driver: ``scenarios.stress`` is this
+driver plus a quiescent walk, and both fail the same way (see
+``join_workers``).
 
 Run as a CLI::
 
@@ -20,12 +23,52 @@ import threading
 import time
 from dataclasses import dataclass, field
 from statistics import mean
+from typing import Optional
 
 from .core import DcvebArray
 from .oracle import OracleMap
 
 _GROUPS = ("getter", "inserter", "remover", "successor")
-_GROUP_IDS = {g: i + 1 for i, g in enumerate(_GROUPS)}
+# "querier" and "churner" are the thread groups of successor_liveness_run.
+_GROUP_IDS = {"getter": 1, "inserter": 2, "remover": 3, "successor": 4,
+              "querier": 5, "churner": 6}
+
+
+class DeadlockSuspectedError(RuntimeError):
+    """Workers failed to finish within the configured cap."""
+
+
+def thread_seed(seed: int, group: str, index: int) -> int:
+    """The random seed of one worker thread's key stream."""
+    return seed * 1_000_003 + _GROUP_IDS[group] * 131_071 + index
+
+
+def start_worker(errors: list, fn, *args) -> threading.Thread:
+    """Start ``fn(*args)`` on a thread that appends any exception it raises
+    to ``errors``.  The thread is a daemon: one stuck past a suspected
+    deadlock must not hold up process exit."""
+    def run():
+        try:
+            fn(*args)
+        except Exception as exc:  # noqa: BLE001 - re-raised by join_workers
+            errors.append(exc)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    return thread
+
+
+def join_workers(threads, errors=(), seconds_cap: Optional[float] = None) -> None:
+    """The driver's failure policy: a thread still alive ``seconds_cap``
+    seconds into the join raises ``DeadlockSuspectedError``; after that any
+    exception in ``errors`` is re-raised as ``RuntimeError``."""
+    deadline = None if seconds_cap is None else time.monotonic() + seconds_cap
+    for t in threads:
+        t.join(None if deadline is None else max(0.0, deadline - time.monotonic()))
+        if t.is_alive():
+            raise DeadlockSuspectedError("worker still running after %gs" % seconds_cap)
+    if errors:
+        raise RuntimeError("worker failed: %s" % "; ".join(map(repr, errors))) from errors[0]
 
 
 class LockedOracle:
@@ -79,6 +122,9 @@ class WorkloadConfig:
     structure: str = "dcveb"
     seed: int = 0
     repeats: int = 1
+    # seconds each repeat's threads may run before a deadlock is suspected;
+    # None waits for as long as they take
+    seconds_cap: Optional[float] = None
 
     def validate(self) -> None:
         counts = (self.getters, self.inserters, self.removers, self.successors)
@@ -90,6 +136,8 @@ class WorkloadConfig:
             raise ValueError("key_range must be >= 1")
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
+        if self.seconds_cap is not None and not self.seconds_cap > 0:
+            raise ValueError("seconds_cap must be > 0")
         if self.structure not in _ADAPTERS:
             raise ValueError(
                 "unknown structure %r (known: %s)"
@@ -129,62 +177,47 @@ class RunResult:
         return out
 
 
-def _thread_seed(seed: int, group: str, index: int) -> int:
-    return seed * 1_000_003 + _GROUP_IDS[group] * 131_071 + index
+def run_workload(config: WorkloadConfig, structure=None) -> RunResult:
+    """Run the four fixed-work groups ``config.repeats`` times.
 
-
-def thread_keys(seed: int, group: str, index: int, ops: int, key_range: int):
-    """The exact key sequence a given worker thread will use."""
-    rng = random.Random(_thread_seed(seed, group, index))
-    return [rng.randrange(key_range) for _ in range(ops)]
-
-
-def run_workload(config: WorkloadConfig) -> RunResult:
+    Every thread makes exactly ``config.ops`` calls of its group's operation
+    on keys drawn from its own seeded stream.  ``structure`` is used for
+    every repeat when given; otherwise each repeat builds a fresh adapter
+    named by ``config.structure``.  Failures follow ``join_workers``.
+    """
     config.validate()
     result = RunResult(config.structure, config)
+    plan = [(group, i)
+            for group, count in zip(_GROUPS, (config.getters, config.inserters,
+                                              config.removers, config.successors))
+            for i in range(count)]
     for repeat in range(config.repeats):
-        structure = _ADAPTERS[config.structure]()
-        plan = []
-        for group, count in zip(_GROUPS, (config.getters, config.inserters,
-                                          config.removers, config.successors)):
-            for i in range(count):
-                plan.append((group, i))
+        target = _ADAPTERS[config.structure]() if structure is None else structure
+        ops = {"getter": target.get, "inserter": target.insert,
+               "remover": target.delete, "successor": target.successor}
         barrier = threading.Barrier(len(plan))
         timings = [None] * len(plan)
 
         def worker(slot: int, group: str, index: int):
-            rng = random.Random(_thread_seed(config.seed, group, index))
-            randrange = rng.randrange
+            randrange = random.Random(thread_seed(config.seed, group, index)).randrange
             m = config.key_range
-            z = config.ops
-            if group == "getter":
-                op = structure.get
-            elif group == "inserter":
-                op = structure.insert
-            elif group == "remover":
-                op = structure.delete
-            else:
-                op = structure.successor
+            op = ops[group]
             barrier.wait()
             started = time.perf_counter()
             if group == "inserter":
-                for _ in range(z):
+                for _ in range(config.ops):
                     key = randrange(m)
                     op(key, key)
             else:
-                for _ in range(z):
+                for _ in range(config.ops):
                     op(randrange(m))
             elapsed = (time.perf_counter() - started) * 1000.0
             timings[slot] = ThreadTiming(repeat, group, index, elapsed)
 
-        threads = [
-            threading.Thread(target=worker, args=(slot, group, index))
-            for slot, (group, index) in enumerate(plan)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        errors: list = []
+        threads = [start_worker(errors, worker, slot, group, index)
+                   for slot, (group, index) in enumerate(plan)]
+        join_workers(threads, errors, config.seconds_cap)
         result.timings.extend(timings)
     return result
 

@@ -122,12 +122,11 @@ class DcvebArray:
 
     ``branching`` is the tree fanout (power of two, at most 64).  Keys must
     lie in ``[0, 2**key_bits)``; bounding the key domain bounds how many
-    root-growth races a single delete may need to clean up after, which is
-    what ``max_rep`` caps (its default is exactly that bound).
+    root-growth races a single delete may need to clean up after: ``max_rep``
+    is exactly that bound.
     """
 
-    def __init__(self, branching: int = 64, key_bits: int = 63,
-                 max_rep: Optional[int] = None, hooks=None):
+    def __init__(self, branching: int = 64, key_bits: int = 63, hooks=None):
         check_branching(branching)
         if key_bits < 1:
             raise ValueError("key_bits must be >= 1")
@@ -135,14 +134,7 @@ class DcvebArray:
         self._shift = branching.bit_length() - 1
         self._mask = branching - 1
         self._key_limit = 1 << key_bits
-        needed = required_height(self._key_limit - 1, branching)
-        if max_rep is None:
-            max_rep = needed
-        elif max_rep < needed:
-            raise ValueError(
-                "max_rep %d is below required_height(max key) = %d" % (max_rep, needed)
-            )
-        self._max_rep = max_rep
+        self._max_rep = required_height(self._key_limit - 1, branching)
         self._hooks = hooks
         self._ap_lock = FairRWLock()
         self._ap = AtomicReference(TreeParams(branching, 1, Node(branching, 0)))
@@ -439,8 +431,6 @@ class DcvebArray:
             parent.children[digit] = None
             summary = clear_child(parent.summary.load(), digit, n)
             parent.summary.store(summary)
-            if summary == 0:
-                parent.children = [None] * n
         finally:
             parent.lock.release_write()
         if summary == 0:

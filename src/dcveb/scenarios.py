@@ -5,7 +5,9 @@ design has to survive: an insert caught between snapshotting the published
 parameters and locking the root while a trim tries to pop that root, and a
 delete whose tree grows underneath it mid-flight, leaving stale occupancy
 bits for the residue cleaner.  Test hooks compiled into the array (no-ops by
-default) provide the pause points.
+default) provide the pause points.  The stress workloads run on the
+benchmark's thread driver (``bench.run_workload``) and share its failure
+policy.
 """
 
 from __future__ import annotations
@@ -16,12 +18,9 @@ import threading
 import time
 from dataclasses import dataclass, field
 
+from .bench import WorkloadConfig, join_workers, run_workload, start_worker, thread_seed
 from .core import DcvebArray
 from .walker import WalkReport, quiescent_walk
-
-
-class DeadlockSuspectedError(RuntimeError):
-    """Workers failed to finish within the configured cap."""
 
 
 @dataclass
@@ -56,23 +55,8 @@ def scenario_names() -> list[str]:
 
 def _run_pair(a, b) -> list[str]:
     errors: list = []
-
-    def guarded(fn):
-        def run():
-            try:
-                fn()
-            except BaseException as exc:  # noqa: BLE001 - surfaced to the report
-                errors.append(repr(exc))
-        return run
-
-    threads = [threading.Thread(target=guarded(a)), threading.Thread(target=guarded(b))]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(30)
-        if t.is_alive():
-            raise DeadlockSuspectedError("scenario thread did not finish")
-    return errors
+    join_workers([start_worker(errors, a), start_worker(errors, b)], seconds_cap=30)
+    return [repr(exc) for exc in errors]
 
 
 def _insert_vs_trim() -> list[str]:
@@ -200,84 +184,16 @@ _SCENARIOS = {
 # -- stress ----------------------------------------------------------------
 
 
-@dataclass
-class StressConfig:
-    getters: int = 0
-    inserters: int = 0
-    removers: int = 0
-    successors: int = 0
-    ops_per_thread: int = 1000
-    key_range: int = 1024
-    seconds_cap: float = 120.0
-    seed: int = 0
-    branching: int = 64
+def stress(config: WorkloadConfig, array: DcvebArray | None = None) -> WalkReport:
+    """Run the four fixed-work thread groups on ``array`` (a fresh
+    ``DcvebArray`` by default) with ``run_workload``, then walk it.
 
-
-_GROUP_IDS = {"getter": 1, "inserter": 2, "remover": 3, "successor": 4,
-              "querier": 5, "churner": 6}
-
-
-def _thread_seed(seed: int, group: str, index: int) -> int:
-    return seed * 1_000_003 + _GROUP_IDS[group] * 131_071 + index
-
-
-def stress(config: StressConfig, array: DcvebArray | None = None) -> WalkReport:
-    """Run the four fixed-work thread groups to completion, then walk.
-
-    Every thread performs exactly ``ops_per_thread`` calls of its group's
-    operation on uniformly random keys.  A thread still alive when the cap
-    expires is treated as a suspected deadlock.
+    Set ``config.seconds_cap`` to treat a thread still running at the cap
+    as a suspected deadlock.
     """
     if array is None:
-        array = DcvebArray(branching=config.branching)
-    errors: list = []
-
-    def worker(group: str, index: int):
-        rng = random.Random(_thread_seed(config.seed, group, index))
-        randrange = rng.randrange
-        m = config.key_range
-        z = config.ops_per_thread
-        try:
-            if group == "getter":
-                op = array.get
-                for _ in range(z):
-                    op(randrange(m))
-            elif group == "inserter":
-                op = array.insert
-                for _ in range(z):
-                    key = randrange(m)
-                    op(key, key)
-            elif group == "remover":
-                op = array.delete
-                for _ in range(z):
-                    op(randrange(m))
-            else:
-                op = array.successor
-                for _ in range(z):
-                    op(randrange(m))
-        except BaseException as exc:  # noqa: BLE001 - surfaced after the join
-            errors.append(repr(exc))
-
-    threads = []
-    for group, count in (
-        ("getter", config.getters),
-        ("inserter", config.inserters),
-        ("remover", config.removers),
-        ("successor", config.successors),
-    ):
-        for i in range(count):
-            threads.append(threading.Thread(target=worker, args=(group, i)))
-    deadline = time.monotonic() + config.seconds_cap
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(max(0.0, deadline - time.monotonic()))
-        if t.is_alive():
-            raise DeadlockSuspectedError(
-                "stress worker still running after %.0fs" % config.seconds_cap
-            )
-    if errors:
-        raise RuntimeError("stress worker failed: %s" % "; ".join(errors))
+        array = DcvebArray()
+    run_workload(config, array)
     return quiescent_walk(array)
 
 
@@ -288,7 +204,8 @@ def successor_liveness_run(total_queries: int = 100_000, query_threads: int = 4,
 
     The largest key in the span is inserted once and never deleted, so every
     query at or below it has a qualifying entry present for the whole call
-    and must not come back empty.  Returns the number of empty results.
+    and must not come back empty.  Returns the number of empty results; a
+    worker exception is re-raised as ``RuntimeError`` (``join_workers``).
     """
     array = DcvebArray(branching=branching)
     sentinel = key_span - 1
@@ -299,8 +216,7 @@ def successor_liveness_run(total_queries: int = 100_000, query_threads: int = 4,
     per_thread = total_queries // query_threads
 
     def querier(index: int):
-        rng = random.Random(_thread_seed(seed, "querier", index))
-        randrange = rng.randrange
+        randrange = random.Random(thread_seed(seed, "querier", index)).randrange
         misses = 0
         for _ in range(per_thread):
             if array.successor(randrange(sentinel + 1)) is None:
@@ -310,25 +226,22 @@ def successor_liveness_run(total_queries: int = 100_000, query_threads: int = 4,
                 none_count[0] += misses
 
     def churner(index: int):
-        rng = random.Random(_thread_seed(seed, "churner", index))
-        randrange = rng.randrange
+        randrange = random.Random(thread_seed(seed, "churner", index)).randrange
         while not stop.is_set():
             key = randrange(sentinel)
             array.insert(key, key)
             array.delete(key)
 
-    queriers = [threading.Thread(target=querier, args=(i,)) for i in range(query_threads)]
-    churners = [threading.Thread(target=churner, args=(i,)) for i in range(churn_threads)]
+    errors: list = []
     old_interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-4)
     try:
-        for t in churners + queriers:
-            t.start()
+        churners = [start_worker(errors, churner, i) for i in range(churn_threads)]
+        queriers = [start_worker(errors, querier, i) for i in range(query_threads)]
         for t in queriers:
             t.join()
-        stop.set()
-        for t in churners:
-            t.join()
     finally:
+        stop.set()  # the churners exit even when the main thread is interrupted
         sys.setswitchinterval(old_interval)
+    join_workers(churners + queriers, errors)
     return none_count[0]

@@ -16,12 +16,7 @@ from dcveb.history import (
     write_history,
 )
 from dcveb.oracle import OracleMap
-from dcveb.scenarios import (
-    StressConfig,
-    run_scenario,
-    stress,
-    successor_liveness_run,
-)
+from dcveb.scenarios import run_scenario, stress, successor_liveness_run
 from dcveb.walker import quiescent_walk, structure_fingerprint
 
 from crafted_histories import violating_histories
@@ -227,9 +222,9 @@ def test_scripted_races():
 
 def test_stress_liveness():
     started = time.perf_counter()
-    config = StressConfig(
+    config = WorkloadConfig(
         getters=8, inserters=8, removers=8, successors=8,
-        ops_per_thread=100_000, key_range=1_000_000, seed=23,
+        ops=100_000, key_range=1_000_000, seed=23,
         seconds_cap=120.0,
     )
     report = stress(config)

@@ -1,16 +1,40 @@
+import threading
+
 import pytest
 
 from dcveb.bench import (
     CSV_HEADER,
+    DeadlockSuspectedError,
     LockedOracle,
     WorkloadConfig,
     adapters,
     emit_csv,
     main,
     run_workload,
-    thread_keys,
 )
 from dcveb.core import Entry
+
+
+class RecordingAdapter:
+    """Records each calling thread's (operation, key) stream."""
+
+    def __init__(self):
+        self.streams = {}
+
+    def _record(self, op, key):
+        self.streams.setdefault(threading.current_thread(), []).append((op, key))
+
+    def get(self, key):
+        self._record("get", key)
+
+    def insert(self, key, value):
+        self._record("insert", key)
+
+    def delete(self, key):
+        self._record("delete", key)
+
+    def successor(self, key):
+        self._record("successor", key)
 
 
 def test_adapter_registry():
@@ -45,6 +69,8 @@ def test_invalid_configs_rejected():
         WorkloadConfig(getters=1, key_range=0).validate()
     with pytest.raises(ValueError):
         WorkloadConfig(getters=1, repeats=0).validate()
+    with pytest.raises(ValueError):
+        WorkloadConfig(getters=1, seconds_cap=0).validate()
 
 
 @pytest.mark.parametrize("structure", ["dcveb", "locked-oracle"])
@@ -60,40 +86,58 @@ def test_workload_smoke(structure):
 
 
 def test_fixed_work_semantics():
-    calls = []
-
-    class CountingAdapter:
-        def get(self, key):
-            calls.append(("get", key))
-
-        def insert(self, key, value):
-            calls.append(("insert", key))
-
-        def delete(self, key):
-            calls.append(("delete", key))
-
-        def successor(self, key):
-            calls.append(("successor", key))
-
-    from dcveb import bench
-
-    bench._ADAPTERS["counting"] = CountingAdapter
-    try:
-        config = WorkloadConfig(getters=2, inserters=1, removers=1, successors=2,
-                                ops=50, key_range=16, structure="counting",
-                                seed=8, repeats=3)
-        run_workload(config)
-    finally:
-        del bench._ADAPTERS["counting"]
+    adapter = RecordingAdapter()
+    config = WorkloadConfig(getters=2, inserters=1, removers=1, successors=2,
+                            ops=50, key_range=16, seed=8, repeats=3)
+    result = run_workload(config, structure=adapter)
+    # the caller's structure serves every repeat
+    calls = [call for stream in adapter.streams.values() for call in stream]
     assert len(calls) == (2 + 1 + 1 + 2) * 50 * 3
+    assert len(result.timings) == 6 * 3
 
 
 def test_same_seed_same_keys_across_adapters():
     # the per-thread key streams depend only on (seed, group, index)
-    for group in ("getter", "inserter", "remover", "successor"):
-        assert thread_keys(12, group, 0, 100, 64) == thread_keys(12, group, 0, 100, 64)
-    assert thread_keys(12, "getter", 0, 100, 64) != thread_keys(12, "getter", 1, 100, 64)
-    assert thread_keys(12, "getter", 0, 100, 64) != thread_keys(13, "getter", 0, 100, 64)
+    def streams(seed):
+        adapter = RecordingAdapter()
+        config = WorkloadConfig(getters=2, inserters=1, removers=1, successors=1,
+                                ops=100, key_range=64, seed=seed)
+        run_workload(config, structure=adapter)
+        return sorted(adapter.streams.values())
+
+    first = streams(12)
+    assert len(first) == 5
+    assert streams(12) == first
+    assert streams(13) != first
+    getter_streams = [s for s in first if s[0][0] == "get"]
+    assert len(getter_streams) == 2 and getter_streams[0] != getter_streams[1]
+
+
+def test_worker_exception_raises_runtime_error():
+    class RaisingAdapter(RecordingAdapter):
+        def successor(self, key):
+            raise KeyError(key)
+
+    config = WorkloadConfig(getters=1, successors=1, ops=10, key_range=8)
+    with pytest.raises(RuntimeError, match="KeyError") as info:
+        run_workload(config, structure=RaisingAdapter())
+    assert isinstance(info.value.__cause__, KeyError)
+
+
+def test_blocked_worker_raises_deadlock_suspected():
+    release = threading.Event()
+
+    class BlockedAdapter(RecordingAdapter):
+        def get(self, key):
+            release.wait(30)
+
+    config = WorkloadConfig(getters=1, inserters=1, ops=5, key_range=8,
+                            seconds_cap=0.2)
+    try:
+        with pytest.raises(DeadlockSuspectedError):
+            run_workload(config, structure=BlockedAdapter())
+    finally:
+        release.set()
 
 
 def test_emit_csv(tmp_path):

@@ -31,10 +31,6 @@ class TestConstruction:
         assert DcvebArray(branching=64, key_bits=31).max_rep == 6
         assert DcvebArray(branching=64, key_bits=63).max_rep == 11
 
-    def test_max_rep_below_bound_rejected(self):
-        with pytest.raises(ValueError):
-            DcvebArray(branching=64, key_bits=63, max_rep=5)
-
     def test_key_domain_enforced(self):
         array = DcvebArray(branching=64, key_bits=16)
         for bad in (-1, 1 << 16, "7", 2.0, True, False):

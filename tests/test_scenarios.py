@@ -1,8 +1,8 @@
 import pytest
 
+from dcveb.bench import WorkloadConfig
 from dcveb.core import DcvebArray
 from dcveb.scenarios import (
-    StressConfig,
     run_scenario,
     scenario_names,
     stress,
@@ -29,21 +29,29 @@ def test_scenarios_pass_repeatedly(name):
 
 
 def test_stress_smoke():
-    config = StressConfig(getters=2, inserters=2, removers=2, successors=2,
-                          ops_per_thread=2000, key_range=512, seed=3,
-                          seconds_cap=60)
+    config = WorkloadConfig(getters=2, inserters=2, removers=2, successors=2,
+                            ops=2000, key_range=512, seed=3, seconds_cap=60)
     report = stress(config)
     assert report.ok(), report.violations
 
 
 def test_stress_single_thread_deterministic():
     reports = [
-        stress(StressConfig(inserters=1, ops_per_thread=3000, key_range=256,
-                            seed=9, seconds_cap=60))
+        stress(WorkloadConfig(inserters=1, ops=3000, key_range=256,
+                              seed=9, seconds_cap=60))
         for _ in range(2)
     ]
     assert reports[0] == reports[1]
     assert reports[0].element_count > 0
+
+
+def test_stress_rejects_invalid_config():
+    array = DcvebArray()
+    with pytest.raises(ValueError):
+        stress(WorkloadConfig(ops=10), array=array)  # zero threads
+    with pytest.raises(ValueError):
+        stress(WorkloadConfig(inserters=1, ops=10, key_range=0), array=array)
+    assert array.minimum() is None  # rejected before any thread ran
 
 
 def test_read_only_workload_leaves_structure_identical():
@@ -51,8 +59,8 @@ def test_read_only_workload_leaves_structure_identical():
     for key in range(0, 3000, 3):
         array.insert(key, key)
     before = structure_fingerprint(array)
-    config = StressConfig(getters=8, ops_per_thread=5000, key_range=4096,
-                          seed=1, seconds_cap=60)
+    config = WorkloadConfig(getters=8, ops=5000, key_range=4096,
+                            seed=1, seconds_cap=60)
     report = stress(config, array=array)
     assert report.ok(), report.violations
     assert structure_fingerprint(array) == before
@@ -84,3 +92,13 @@ def test_successor_liveness_smoke():
     misses = successor_liveness_run(total_queries=20_000, query_threads=2,
                                     churn_threads=2, key_span=512, seed=7)
     assert misses == 0
+
+
+def test_successor_liveness_reraises_worker_error(monkeypatch):
+    def crash(self, key):
+        raise KeyError(key)
+
+    monkeypatch.setattr(DcvebArray, "successor", crash)
+    with pytest.raises(RuntimeError, match="KeyError"):
+        successor_liveness_run(total_queries=200, query_threads=2,
+                               churn_threads=2, key_span=64, seed=7)
