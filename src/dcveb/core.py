@@ -1,12 +1,14 @@
 """Concurrent ordered map over integer keys.
 
-The structure is a fixed-fanout tree of nodes, each an atomic occupancy
-summary word plus an array of child slots.  The slots of the bottom level
-hold immutable ``Entry(key, value)`` objects instead of nodes.  A key's path
-through the tree is its base-n digit expansion, so lookups touch one node per
-digit.  The tree grows by stacking new root levels above the old root when a
-key exceeds the current capacity, and trims root levels back off when only
-the leftmost subtree remains.
+The structure is a fixed-fanout tree of nodes; each node is itself an atomic
+occupancy summary word and carries an array of child slots.  The slots of the
+bottom level hold immutable ``Entry(key, value)`` objects instead of nodes.  A
+key's path through the tree is its base-n digit expansion, so lookups touch
+one node per digit.  The tree grows at the top by stacking new root levels
+above the old root when a key exceeds the current capacity, and trims root
+levels back off when only the leftmost subtree remains.  At the bottom it
+grows by installing nodes along an inserted key's path and shrinks by
+unlinking every node a delete empties.
 
 Concurrency contract:
 
@@ -15,8 +17,9 @@ Concurrency contract:
   node per level hand over hand; many inserts proceed in parallel.  It
   publishes its entry by one slot store under the parent's read lock.
 * ``delete`` empties the entry's slot under the parent's write lock, then
-  write-locks (parent, child) node pairs bottom-up, one pair at a time, and
-  takes the root guard exclusively only while trimming.
+  write-locks (parent, child) node pairs bottom-up, one pair at a time,
+  unlinking each child it finds empty, and takes the root guard exclusively
+  only while trimming.
 * All locks are fair; no operation ever holds more than two node locks.
 
 Nodes detached from the tree stay readable by threads that still hold
@@ -54,21 +57,23 @@ class Capacity(NamedTuple):
     height: int
 
 
-class Node:
-    """One tree node: an occupancy ``summary`` word, ``n`` child slots and a
-    fair readers-writer ``lock``.
+class Node(AtomicWord):
+    """One tree node: its own occupancy summary word (the inherited
+    ``load``/``store``/``compare_and_set``), ``n`` child slots and a fair
+    readers-writer ``lock``.
 
     Above the bottom level a slot holds a child ``Node``; at the bottom level
     it holds an immutable :class:`Entry` whose key is the slot's path key.
-    ``None`` marks an empty slot.  ``bits`` is the initial summary.  The
-    summary word's mutex also serializes ``cas_child``, so a node owns two
+    ``None`` marks an empty slot, and at quiescence a slot is occupied
+    exactly when its summary bit is set.  ``bits`` is the initial summary.
+    The word's ``mutex`` also serializes ``cas_child``, so a node owns two
     lock objects: that mutex and ``lock``.
     """
 
-    __slots__ = ("summary", "children", "lock")
+    __slots__ = ("children", "lock")
 
     def __init__(self, n: int, bits: int):
-        self.summary = AtomicWord(bits)
+        super().__init__(bits)
         self.children = [None] * n
         self.lock = FairRWLock()
 
@@ -78,7 +83,7 @@ class Node:
         Returns the slot's occupant, i.e. ``candidate`` on success or the
         node a racing inserter installed first.
         """
-        with self.summary.mutex:
+        with self.mutex:
             current = self.children[pos]
             if current is None:
                 self.children[pos] = candidate
@@ -178,7 +183,7 @@ class DcvebArray:
         level = 0
         while level < h:
             digit = (key >> (shift * (h - 1 - level))) & mask
-            if node.summary.load() & (1 << (n - 1 - digit)) == 0:
+            if node.load() & (1 << (n - 1 - digit)) == 0:
                 return None
             node = node.children[digit]
             if node is None:
@@ -218,7 +223,7 @@ class DcvebArray:
     def _scan(self, params: TreeParams, key: int, ascending: bool) -> Optional[Entry]:
         n = self._n
         root = params.root
-        if root.summary.load() == 0:
+        if root.load() == 0:
             return None
         h = params.height
         trail = self._make_path(key, params)
@@ -233,7 +238,7 @@ class DcvebArray:
             q = None
             while level >= 0:
                 node = nodes[level]
-                q = sideways(node.summary.load(), slots[level], n)
+                q = sideways(node.load(), slots[level], n)
                 if q is not None:
                     break
                 level -= 1
@@ -251,7 +256,7 @@ class DcvebArray:
                 level += 1
                 if level == h:
                     return child
-                q = sideways(child.summary.load(), None, n)
+                q = sideways(child.load(), None, n)
                 if q is None:
                     # subtree emptied under us: resume at its parent level
                     level -= 1
@@ -297,9 +302,8 @@ class DcvebArray:
             level = 0
             while True:
                 digit = (key >> (shift * (last - level))) & mask
-                summary = node.summary
-                if summary.load() & (1 << (n - 1 - digit)) == 0:
-                    atomic_set_child(summary, digit, n)
+                if node.load() & (1 << (n - 1 - digit)) == 0:
+                    atomic_set_child(node, digit, n)
                 if level == last:
                     # one reference store publishes the entry, so a reader
                     # sees either the old occupant or the whole new entry
@@ -396,7 +400,7 @@ class DcvebArray:
             digit = (key >> (shift * (h - 1 - level))) & mask
             nodes[level] = node
             slots[level] = digit
-            if node.summary.load() & (1 << (n - 1 - digit)) == 0:
+            if node.load() & (1 << (n - 1 - digit)) == 0:
                 return Trail(nodes, slots, level, node)
             child = node.children[digit]
             if child is None:
@@ -406,7 +410,7 @@ class DcvebArray:
         return Trail(nodes, slots, h, node)
 
     def _delete_internal(self, params: TreeParams, trail: Trail) -> bool:
-        """Empty the entry's slot, then walk up clearing occupancy bits.
+        """Empty the entry's slot, then walk up unlinking emptied nodes.
 
         The slot is re-read under the parent's write lock.  An empty slot
         means the key was absent at that moment (another delete got there
@@ -429,8 +433,8 @@ class DcvebArray:
             if parent.children[digit] is None:
                 return False
             parent.children[digit] = None
-            summary = clear_child(parent.summary.load(), digit, n)
-            parent.summary.store(summary)
+            summary = clear_child(parent.load(), digit, n)
+            parent.store(summary)
         finally:
             parent.lock.release_write()
         if summary == 0:
@@ -440,27 +444,28 @@ class DcvebArray:
         return True
 
     def _clear_if_empty(self, node: Node, digit: int, child: Node) -> bool:
-        """Clear ``node``'s bit for ``digit`` if ``child`` still fills that
-        slot and is empty, both re-checked under the pair's write locks.
+        """Unlink ``child`` from ``node``'s slot ``digit`` and clear the slot's
+        bit if ``child`` still fills that slot and is empty, both re-checked
+        under the pair's write locks.
 
-        A node whose summary reaches zero drops its whole child array; nodes
-        kept alive by siblings stay referenced with their bit cleared.
-        Returns True when ``node`` itself became empty: only then may the
-        level above need clearing too.
+        No inserter can be between ``node`` and ``child`` while both write
+        locks are held, so an emptied child leaves the tree for good; a later
+        insert under the same digit installs a fresh node.  Returns True when
+        ``node`` itself became empty: only then may the level above need
+        clearing too.
         """
         n = self._n
         node.lock.acquire_write()
         try:
             child.lock.acquire_write()
             try:
-                summary = node.summary.load()
-                if (node.children[digit] is not child or child.summary.load() != 0
+                summary = node.load()
+                if (node.children[digit] is not child or child.load() != 0
                         or not has_child(summary, digit, n)):
                     return False
+                node.children[digit] = None
                 summary = clear_child(summary, digit, n)
-                node.summary.store(summary)
-                if summary == 0:
-                    node.children = [None] * n
+                node.store(summary)
                 return summary == 0
             finally:
                 child.lock.release_write()
@@ -473,9 +478,10 @@ class DcvebArray:
         A delete that raced a root growth can only propagate up to the root
         it snapshotted, leaving levels above it claiming a subtree that is
         now empty.  This pass starts from the currently published root and,
-        bottom-up under the same pair-lock discipline as deletion, clears
-        any bit whose child is verifiably empty.  It never clears a bit over
-        a live entry: emptiness is re-checked while holding both locks.
+        bottom-up under the same pair-lock discipline as deletion, unlinks
+        any child that is verifiably empty and clears its bit.  It never
+        clears a bit over a live entry: emptiness is re-checked while holding
+        both locks.
         """
         params = self._ap.load()
         if key >= params.size:
@@ -505,7 +511,7 @@ class DcvebArray:
         ap_lock = self._ap_lock
         while True:
             params = self._ap.load()
-            if params.root.summary.load() != only_zero:
+            if params.root.load() != only_zero:
                 return
             if params.height == 1:
                 return
@@ -515,9 +521,9 @@ class DcvebArray:
             ap_lock.acquire_write()
             root.lock.acquire_write()
             try:
-                if root.summary.load() == only_zero:
+                if root.load() == only_zero:
                     # fetch the lonely child under the locks: its slot may
-                    # have been wiped and rebuilt since the summary was read
+                    # have been emptied and refilled since the summary was read
                     lonely = root.children[0]
                     if lonely is None:
                         return

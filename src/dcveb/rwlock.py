@@ -8,6 +8,8 @@ requirement for the tree operations built on top, not an optimization.
 
 Waiting groups park on their own Event, so an admission wakes exactly the
 admitted group, and the uncontended paths cost one plain mutex acquisition.
+The queue list itself is created by the first waiter: most locks (one per
+tree node) are never contended and never need one.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ class FairRWLock:
         self._mutex = threading.Lock()
         self._active_readers = 0
         self._writer_active = False
-        self._queue: list[_WaitGroup] = []
+        self._queue: list[_WaitGroup] | None = None
 
     def acquire_read(self) -> None:
         mutex = self._mutex
@@ -47,7 +49,7 @@ class FairRWLock:
             group.count += 1
         else:
             group = _WaitGroup("r")
-            queue.append(group)
+            self._enqueue_locked(group)
         mutex.release()
         group.event.wait()
 
@@ -67,7 +69,7 @@ class FairRWLock:
             mutex.release()
             return
         group = _WaitGroup("w")
-        self._queue.append(group)
+        self._enqueue_locked(group)
         mutex.release()
         group.event.wait()
 
@@ -78,6 +80,12 @@ class FairRWLock:
         if self._queue:
             self._admit_locked()
         mutex.release()
+
+    def _enqueue_locked(self, group: _WaitGroup) -> None:
+        if self._queue is None:
+            self._queue = [group]
+        else:
+            self._queue.append(group)
 
     def _admit_locked(self) -> None:
         # caller holds the mutex; lock is free and the queue is non-empty

@@ -163,7 +163,7 @@ def _two_inserters_one_parent() -> list[str]:
     if parent is None:
         problems.append("shared parent missing")
     else:
-        summary = parent.summary.load()
+        summary = parent.load()
         n = array.branching
         for pos in (2, 3):  # 130 = [2, 2], 131 = [2, 3]
             if not summary & (1 << (n - 1 - pos)):

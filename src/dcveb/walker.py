@@ -2,11 +2,12 @@
 
 With no operations in flight, a full recursive walk of the tree must find
 every occupancy bit telling the truth (set implies a non-empty child subtree,
-clear implies an absent or empty one), nodes in every slot above the bottom
-level and entries in every bottom-level slot, each entry's key equal to its
-path key, and the set of live entries identical to what chained successor
-calls enumerate.  The walker also checks the closed-form bound on how many internal
-nodes a tree of the current height may retain.
+clear implies an empty slot: deletes unlink every node they empty), nodes in
+every slot above the bottom level and entries in every bottom-level slot,
+each entry's key equal to its path key, and the set of live entries
+identical to what chained successor calls enumerate.  The walker also checks
+the closed-form bound on how many internal nodes a tree of the current height
+may retain.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ def quiescent_walk(array) -> WalkReport:
 def _walk(node, level, height, n, key_prefix, path, report, entries) -> int:
     """Recursive invariant check; returns the subtree's live entry count."""
     report.internal_node_count += 1
-    summary = node.summary.load()
+    summary = node.load()
     if summary >> n:
         report.violations.append((path, "summary-high-bits", summary))
     bottom = level + 1 == height
@@ -94,8 +95,10 @@ def _walk(node, level, height, n, key_prefix, path, report, entries) -> int:
                 report.violations.append((path, "bit-set-child-missing", p))
             elif count == 0:
                 report.violations.append((path, "bit-set-subtree-empty", p))
-        elif count > 0:
-            report.violations.append((path, "bit-clear-subtree-nonempty", p))
+        elif child is not None:
+            report.violations.append((path, "bit-clear-slot-occupied", p))
+            if count > 0:
+                report.violations.append((path, "bit-clear-subtree-nonempty", p))
         total += count
     return total
 
@@ -138,7 +141,7 @@ def _fingerprint(slot):
         return ("entry", slot.key, slot.value)
     return (
         "node",
-        slot.summary.load(),
+        slot.load(),
         tuple(
             (p, _fingerprint(child))
             for p, child in enumerate(slot.children)

@@ -114,7 +114,7 @@ class TestDelete:
         array.insert(5, "A")
         array.delete(5)
         root = array._params().root
-        assert root.summary.load() == 0
+        assert root.load() == 0
         assert all(child is None for child in root.children)
         assert quiescent_walk(array).ok()
 
@@ -128,7 +128,7 @@ class TestDelete:
         # parent stays in place, keeps exactly the sibling's bit and has the
         # deleted key's slot emptied
         assert root.children[2] is parent
-        assert parent.summary.load() == 1 << (64 - 1 - 3)
+        assert parent.load() == 1 << (64 - 1 - 3)
         assert parent.children[2] is None
         assert parent.children[3] == Entry(131, "B")
         assert array.get(131) == Entry(131, "B")
@@ -142,7 +142,7 @@ class TestDelete:
         array.delete(64 * 64 + 3)
         assert array.get(5) == Entry(5, "low")
         # root still anchors the subtree holding key 5
-        assert root is not array._params().root or root.summary.load() != 0
+        assert root is not array._params().root or root.load() != 0
         assert quiescent_walk(array).ok()
 
     def test_delete_then_successor(self):
@@ -172,6 +172,18 @@ class TestDelete:
         assert parent.children[2] == Entry(130, "again")
         assert parent.children[2] is not old
         assert array.get(130) is parent.children[2]
+
+    def test_emptied_child_is_unlinked(self):
+        array = make_array()
+        array.insert(130, "A")  # digits (2, 2)
+        array.insert(200, "B")  # digits (3, 8)
+        root = array._params().root
+        array.delete(130)
+        # the emptied parent leaves the root's slot; its sibling stays
+        assert root.children[2] is None
+        assert root.load() == 1 << (64 - 1 - 3)
+        assert root.children[3].children[8] == Entry(200, "B")
+        assert quiescent_walk(array).ok()
 
 
 class TestTrim:
@@ -377,3 +389,34 @@ def test_dense_fill_then_drain():
     # child 0 remains occupied
     assert array.capacity_snapshot().height == 4
     assert quiescent_walk(array).ok()
+
+
+def test_fresh_key_churn_keeps_node_count_flat():
+    # Insert a never-seen key, delete a random present one: every emptied
+    # subtree must leave the tree, so the reachable node count stays at its
+    # prefill level instead of growing with the number of ops.
+    rng = random.Random(7)
+    array = make_array(key_bits=36)
+    seen = set()
+    present = []
+
+    def insert_fresh():
+        key = rng.randrange(1 << 36)
+        while key in seen:
+            key = rng.randrange(1 << 36)
+        seen.add(key)
+        present.append(key)
+        array.insert(key, key)
+
+    for _ in range(2000):
+        insert_fresh()
+    prefill = quiescent_walk(array).internal_node_count
+    for _ in range(4000):
+        insert_fresh()
+        i = rng.randrange(len(present))
+        present[i], present[-1] = present[-1], present[i]
+        array.delete(present.pop())
+    report = quiescent_walk(array)
+    assert report.ok(), report.violations
+    assert report.element_count == 2000
+    assert report.internal_node_count <= 1.05 * prefill

@@ -64,8 +64,8 @@ def test_paused_delete_removes_rebuilt_entry():
 
 
 def test_stale_trail_delete_aborts_without_touching_rebuild():
-    # White box: resolve a path, let the branch be emptied (child arrays
-    # dropped) and rebuilt, then run the deletion pass with the stale trail.
+    # White box: resolve a path, let the branch be emptied (its nodes
+    # unlinked) and rebuilt, then run the deletion pass with the stale trail.
     # The stale parent's slot is empty under its lock, so the pass aborts and
     # leaves the rebuilt entry alone; the aborted delete linearizes between
     # the other delete and the re-insert.
@@ -74,7 +74,7 @@ def test_stale_trail_delete_aborts_without_touching_rebuild():
     params = array._params()
     stale = array._make_path(130, params)
     assert stale.depth == params.height
-    array.delete(130)   # empties the branch: parent and root slots wiped
+    array.delete(130)   # empties the branch: the parent is unlinked
     array.insert(130, "new")
     assert array._delete_internal(params, stale) is False
     assert array.get(130) == Entry(130, "new")
@@ -136,7 +136,7 @@ def test_walker_flags_summary_high_bits():
     array = DcvebArray(branching=8, key_bits=16)
     array.insert(3, "x")
     root = array._params().root
-    root.summary.store(root.summary.load() | (1 << 60))
+    root.store(root.load() | (1 << 60))
     report = quiescent_walk(array)
     assert any(v[1] == "summary-high-bits" for v in report.violations)
 

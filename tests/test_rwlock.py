@@ -123,6 +123,18 @@ def test_reader_not_starved_by_writer_stream():
     assert reader_done.is_set()
 
 
+def test_uncontended_cycles_create_no_queue():
+    lock = FairRWLock()
+    for _ in range(3):
+        lock.acquire_read()
+        lock.acquire_read()
+        lock.release_read()
+        lock.release_read()
+        lock.acquire_write()
+        lock.release_write()
+    assert lock._queue is None
+
+
 def test_queued_readers_batch_together():
     lock = FairRWLock()
     lock.acquire_write()

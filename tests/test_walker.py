@@ -50,7 +50,7 @@ def test_detects_injected_bit_over_empty_child():
     array.insert(130, "C")
     # corrupt: claim child 9 of the root is occupied
     root = array._params().root
-    root.summary.store(root.summary.load() | child_mask(9, 64))
+    root.store(root.load() | child_mask(9, 64))
     report = quiescent_walk(array)
     assert [v[1] for v in report.violations] == ["bit-set-child-missing"]
 
@@ -59,7 +59,7 @@ def test_detects_hidden_live_entry():
     array = DcvebArray()
     array.insert(130, "C")
     root = array._params().root
-    root.summary.store(0)  # hide the live subtree
+    root.store(0)  # hide the live subtree
     report = quiescent_walk(array)
     names = {v[1] for v in report.violations}
     assert "bit-clear-subtree-nonempty" in names
@@ -72,6 +72,15 @@ def test_detects_entry_key_mismatch():
     array._params().root.children[5] = Entry(6, "A")  # key is not its path key
     report = quiescent_walk(array)
     assert ("/5", "entry-key-mismatch", (6, 5)) in report.violations
+
+
+def test_detects_node_in_bit_clear_slot():
+    array = DcvebArray()
+    array.insert(130, "C")
+    # an empty node left linked under a clear bit: deletes unlink these
+    array._params().root.children[5] = Node(64, 0)
+    report = quiescent_walk(array)
+    assert report.violations == [("", "bit-clear-slot-occupied", 5)]
 
 
 def test_detects_node_in_bottom_level_slot():
