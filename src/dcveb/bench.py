@@ -1,9 +1,11 @@
 """Fixed-work benchmark runner.
 
 Four thread groups (getters, inserters, removers, successor searchers) each
-perform the same number of calls against a pluggable dynamic-set adapter,
-with per-thread wall time as the measurement.  Key sequences are derived
-from (seed, group, thread index) only, so every adapter sees identical work.
+perform the same number of calls against a pluggable dynamic-set adapter.
+Each thread's wall time is measured, and so is each repeat's, from the first
+worker's start to the last join; aggregate throughput is all calls over the
+repeats' wall time.  Key sequences are derived from (seed, group, thread
+index) only, so every adapter sees identical work.
 ``run_workload`` is the one thread driver: ``scenarios.stress`` is this
 driver plus a quiescent walk, and both fail the same way (see
 ``join_workers``).
@@ -158,6 +160,8 @@ class RunResult:
     structure: str
     config: WorkloadConfig
     timings: list[ThreadTiming] = field(default_factory=list)
+    # one per repeat: seconds from the first worker's start to the last join
+    wall_seconds: list[float] = field(default_factory=list)
 
     @property
     def per_thread_millis(self) -> list[float]:
@@ -166,6 +170,11 @@ class RunResult:
     @property
     def mean_millis(self) -> float:
         return mean(self.per_thread_millis)
+
+    @property
+    def aggregate_ops_per_s(self) -> float:
+        """Calls made by all threads over all repeats, per second of wall time."""
+        return len(self.timings) * self.config.ops / sum(self.wall_seconds)
 
     @property
     def per_group_mean_millis(self) -> dict[str, float]:
@@ -197,13 +206,14 @@ def run_workload(config: WorkloadConfig, structure=None) -> RunResult:
                "remover": target.delete, "successor": target.successor}
         barrier = threading.Barrier(len(plan))
         timings = [None] * len(plan)
+        starts = [None] * len(plan)
 
         def worker(slot: int, group: str, index: int):
             randrange = random.Random(thread_seed(config.seed, group, index)).randrange
             m = config.key_range
             op = ops[group]
             barrier.wait()
-            started = time.perf_counter()
+            started = starts[slot] = time.perf_counter()
             if group == "inserter":
                 for _ in range(config.ops):
                     key = randrange(m)
@@ -218,6 +228,7 @@ def run_workload(config: WorkloadConfig, structure=None) -> RunResult:
         threads = [start_worker(errors, worker, slot, group, index)
                    for slot, (group, index) in enumerate(plan)]
         join_workers(threads, errors, config.seconds_cap)
+        result.wall_seconds.append(time.perf_counter() - min(starts))
         result.timings.extend(timings)
     return result
 
@@ -288,6 +299,7 @@ def main(argv=None) -> int:
     print("structure=%s threads g=%d i=%d r=%d s=%d ops=%d key-range=%d repeats=%d"
           % (config.structure, config.getters, config.inserters, config.removers,
              config.successors, config.ops, config.key_range, config.repeats))
+    print("aggregate throughput: %.0f ops/s over wall time" % result.aggregate_ops_per_s)
     print("mean per-thread time: %.2f ms" % result.mean_millis)
     for group, value in sorted(result.per_group_mean_millis.items(),
                                key=lambda kv: _GROUP_IDS[kv[0]]):

@@ -22,47 +22,52 @@ class AtomicWord:
     """Integer cell with atomic load and compare-and-set.
 
     CPython has no hardware CAS; ``mutex`` provides the compare-and-set
-    atomicity.  Plain loads are safe without it.  The owner of the word may
-    hold ``mutex`` to make other updates atomic with respect to the word's.
+    atomicity.  Plain loads are safe without it: reading the ``value``
+    attribute is the same load as ``load()``, without the call, and hot read
+    paths use it.  Writes go through ``store``/``compare_and_set`` only.  The
+    owner of the word may hold ``mutex`` to make other updates atomic with
+    respect to the word's.
     """
 
-    __slots__ = ("_value", "mutex")
+    __slots__ = ("value", "mutex")
 
     def __init__(self, value: int = 0):
-        self._value = value
+        self.value = value
         self.mutex = threading.Lock()
 
     def load(self) -> int:
-        return self._value
+        return self.value
 
     def store(self, value: int) -> None:
         with self.mutex:
-            self._value = value
+            self.value = value
 
     def compare_and_set(self, expected: int, update: int) -> bool:
         with self.mutex:
-            if self._value == expected:
-                self._value = update
+            if self.value == expected:
+                self.value = update
                 return True
             return False
 
 
 class AtomicReference:
-    """Reference cell with atomic load and compare-and-set (identity compare)."""
+    """Reference cell with atomic load and compare-and-set (identity compare).
 
-    __slots__ = ("_value", "_lock")
+    As with :class:`AtomicWord`, reading ``value`` is a plain load."""
+
+    __slots__ = ("value", "_lock")
 
     def __init__(self, value=None):
-        self._value = value
+        self.value = value
         self._lock = threading.Lock()
 
     def load(self):
-        return self._value
+        return self.value
 
     def compare_and_set(self, expected, update) -> bool:
         with self._lock:
-            if self._value is expected:
-                self._value = update
+            if self.value is expected:
+                self.value = update
                 return True
             return False
 

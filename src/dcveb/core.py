@@ -169,49 +169,107 @@ class DcvebArray:
             )
 
     # -- queries (lock-free) ----------------------------------------------
+    #
+    # Each query is one descent that reads the published params and every
+    # node's word through the plain ``value`` attribute, counting the digit
+    # shift down to 0 at the bottom level.  The key check is inlined; only a
+    # bad key or an int subclass reaches ``_check_key``.
 
     def get(self, key: int) -> Optional[Entry]:
-        self._check_key(key)
-        params = self._ap.load()
+        if type(key) is not int or key < 0 or key >= self._key_limit:
+            self._check_key(key)
+        params = self._ap.value
         if key >= params.size:
             return None
         n = self._n
         shift = self._shift
         mask = self._mask
-        h = params.height
+        s = shift * (params.height - 1)
         node = params.root
-        level = 0
-        while level < h:
-            digit = (key >> (shift * (h - 1 - level))) & mask
-            if node.load() & (1 << (n - 1 - digit)) == 0:
+        while True:
+            digit = (key >> s) & mask
+            if node.value & (1 << (n - 1 - digit)) == 0:
                 return None
             node = node.children[digit]
-            if node is None:
-                return None
-            level += 1
-        return node  # the bottom-level slot's Entry
+            if s == 0 or node is None:
+                return node  # at s == 0, the bottom-level slot's Entry
+            s -= shift
 
     def successor(self, key: int) -> Optional[Entry]:
         """Entry with the smallest key' >= key, or None.
 
-        Takes no locks.  If a candidate vanishes mid-descent the search
-        resumes from the stop point, sweeping rightward; it never restarts
-        from the root, so an entry that stays present for the whole call
-        cannot be missed.
+        Takes no locks.  One descent follows ``key``'s digits: an exact hit
+        returns the entry.  Otherwise, when the descent stops in a
+        bottom-level node, the word it already read names the first
+        occupied slot past ``key``'s, and a filled slot there is the answer.
+        Only when the stop node is higher up, shows nothing past ``key``, or
+        its candidate slot has just emptied does the search fall back to
+        ``_scan``, which resumes sideways from the stop point rather than
+        restarting from the root.  Either way an entry that stays present
+        for the whole call cannot be missed.
         """
-        self._check_key(key)
-        params = self._ap.load()
+        if type(key) is not int or key < 0 or key >= self._key_limit:
+            self._check_key(key)
+        params = self._ap.value
         if key >= params.size:
             return None
-        return self._scan(params, key, True)
+        n = self._n
+        shift = self._shift
+        mask = self._mask
+        s = shift * (params.height - 1)
+        node = params.root
+        while True:
+            digit = (key >> s) & mask
+            word = node.value
+            bit = 1 << (n - 1 - digit)
+            if word & bit:
+                child = node.children[digit]
+                if child is not None:
+                    if s == 0:
+                        return child
+                    node = child
+                    s -= shift
+                    continue
+            if s == 0:
+                # children past ``digit`` own the bits below ``bit``
+                above = word & (bit - 1)
+                if above:
+                    entry = node.children[n - above.bit_length()]
+                    if entry is not None:
+                        return entry
+            return self._scan(params, key, True)
 
     def predecessor(self, key: int) -> Optional[Entry]:
         """Entry with the largest key' <= key, or None.  Mirror of successor."""
-        self._check_key(key)
-        params = self._ap.load()
+        if type(key) is not int or key < 0 or key >= self._key_limit:
+            self._check_key(key)
+        params = self._ap.value
         if key >= params.size:
             key = params.size - 1
-        return self._scan(params, key, False)
+        n = self._n
+        shift = self._shift
+        mask = self._mask
+        s = shift * (params.height - 1)
+        node = params.root
+        while True:
+            digit = (key >> s) & mask
+            word = node.value
+            if word & (1 << (n - 1 - digit)):
+                child = node.children[digit]
+                if child is not None:
+                    if s == 0:
+                        return child
+                    node = child
+                    s -= shift
+                    continue
+            if s == 0:
+                # children before ``digit``, nearest first from bit 0 up
+                below = (word >> (n - digit)) & ((1 << digit) - 1)
+                if below:
+                    entry = node.children[digit - (below & -below).bit_length()]
+                    if entry is not None:
+                        return entry
+            return self._scan(params, key, False)
 
     def minimum(self) -> Optional[Entry]:
         return self.successor(0)
@@ -223,10 +281,12 @@ class DcvebArray:
     def _scan(self, params: TreeParams, key: int, ascending: bool) -> Optional[Entry]:
         n = self._n
         root = params.root
-        if root.load() == 0:
+        if root.value == 0:
             return None
         h = params.height
         trail = self._make_path(key, params)
+        if self._hooks is not None:
+            self._hooks("scan-path")
         nodes = trail.nodes
         slots = trail.slots
         level = trail.depth
@@ -238,7 +298,7 @@ class DcvebArray:
             q = None
             while level >= 0:
                 node = nodes[level]
-                q = sideways(node.load(), slots[level], n)
+                q = sideways(node.value, slots[level], n)
                 if q is not None:
                     break
                 level -= 1
@@ -256,7 +316,7 @@ class DcvebArray:
                 level += 1
                 if level == h:
                     return child
-                q = sideways(child.load(), None, n)
+                q = sideways(child.value, None, n)
                 if q is None:
                     # subtree emptied under us: resume at its parent level
                     level -= 1

@@ -96,6 +96,19 @@ def test_fixed_work_semantics():
     assert len(result.timings) == 6 * 3
 
 
+def test_aggregate_throughput_is_calls_over_wall_time():
+    config = WorkloadConfig(getters=2, inserters=1, successors=1, ops=200,
+                            key_range=64, seed=3, repeats=2)
+    result = run_workload(config)
+    assert len(result.wall_seconds) == 2
+    calls = (2 + 1 + 1) * 200 * 2
+    assert result.aggregate_ops_per_s == pytest.approx(calls / sum(result.wall_seconds))
+    # a repeat's wall time spans every one of its threads' own timings
+    for repeat, wall in enumerate(result.wall_seconds):
+        longest = max(t.millis for t in result.timings if t.repeat == repeat)
+        assert wall * 1000.0 >= longest
+
+
 def test_same_seed_same_keys_across_adapters():
     # the per-thread key streams depend only on (seed, group, index)
     def streams(seed):
@@ -189,6 +202,7 @@ def test_cli_smoke(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "mean per-thread time" in out
+    assert "aggregate throughput" in out
     assert csv_path.exists()
 
 

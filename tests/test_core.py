@@ -1,4 +1,5 @@
 import random
+from enum import IntEnum
 
 import pytest
 
@@ -40,6 +41,23 @@ class TestConstruction:
                 array.insert(bad, "x")
             with pytest.raises(ValueError):
                 array.delete(bad)
+            with pytest.raises(ValueError):
+                array.successor(bad)
+            with pytest.raises(ValueError):
+                array.predecessor(bad)
+
+    def test_int_subclass_key_accepted(self):
+        class Slot(IntEnum):
+            SEVEN = 7
+
+        array = DcvebArray(branching=64, key_bits=16)
+        assert array.get(Slot.SEVEN) is None
+        array.insert(Slot.SEVEN, "x")
+        assert array.get(Slot.SEVEN) == Entry(7, "x")
+        assert array.successor(Slot.SEVEN) == Entry(7, "x")
+        assert array.predecessor(Slot.SEVEN) == Entry(7, "x")
+        array.delete(Slot.SEVEN)
+        assert array.get(7) is None
 
     def test_bool_key_rejected(self):
         array = make_array()
@@ -360,6 +378,74 @@ def test_sequential_equivalence_small(branching):
     report = quiescent_walk(array)
     assert report.ok(), report.violations
     assert report.element_count == len(table)
+
+
+@pytest.mark.parametrize("density", ["dense", "sparse"])
+@pytest.mark.parametrize("branching", [2, 4, 64])
+def test_query_fast_path_matches_oracle(branching, density, monkeypatch):
+    # get/successor/predecessor against the oracle, call by call: on an empty
+    # tree, filled, after one grow and the trim back, and drained again.
+    # Probes cover random keys, each inserted key and its neighbours, and keys
+    # at and above the capacity.  Both ways a non-exact answer is found must run:
+    # inside the node where the descent stopped, and through _scan.
+    scans = [0]
+    scan = DcvebArray._scan
+
+    def counting_scan(self, *args):
+        scans[0] += 1
+        return scan(self, *args)
+
+    monkeypatch.setattr(DcvebArray, "_scan", counting_scan)
+    key_bits = 20
+    rng = random.Random(branching * 2 + (density == "dense"))
+    array = DcvebArray(branching=branching, key_bits=key_bits)
+    table = OracleMap()
+    keys = (rng.sample(range(1024), 512) if density == "dense"
+            else rng.sample(range(1 << 16), 60))
+    in_node = 0
+
+    def check():
+        nonlocal in_node
+        size = array.capacity_snapshot().size
+        probes = [rng.randrange(size) for _ in range(200)]
+        for key in keys:
+            probes += [key - 1, key, key + 1]
+        probes += [0, size - 1, size, size + 1, (1 << key_bits) - 1]
+        for key in probes:
+            if not 0 <= key < 1 << key_bits:
+                continue
+            assert array.get(key) == table.get(key), key
+            for query in ("successor", "predecessor"):
+                before = scans[0]
+                got = getattr(array, query)(key)
+                assert got == getattr(table, query)(key), (query, key)
+                if scans[0] == before and got is not None and got.key != key:
+                    in_node += 1
+
+    check()  # empty
+    for key in keys:
+        array.insert(key, -key)
+        table.insert(key, -key)
+    check()
+    shape = array.capacity_snapshot()
+    top = (1 << key_bits) - 1
+    array.insert(top, "top")
+    table.insert(top, "top")
+    assert array.capacity_snapshot().height > shape.height
+    check()
+    array.delete(top)
+    table.delete(top)
+    assert array.capacity_snapshot() == shape
+    check()
+    for key in keys[: len(keys) // 2]:
+        array.delete(key)
+        table.delete(key)
+    check()
+    for key in keys[len(keys) // 2:]:
+        array.delete(key)
+        table.delete(key)
+    check()  # empty again
+    assert scans[0] > 0 and in_node > 0, (scans[0], in_node)
 
 
 def test_dense_fill_then_drain():

@@ -20,6 +20,33 @@ def test_hook_points_fire_in_order():
     points.clear()
     array.delete(70)  # snapshot, entry cleared, then a trim attempt
     assert points == ["delete-snapshot", "delete-cleared", "trim-pre-publish"]
+    points.clear()
+    assert array.successor(3) == Entry(3, "keep")  # exact hit: no scan
+    assert array.successor(4) is None  # nothing past 3: the scan runs
+    assert points == ["scan-path"]
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the scan skips a slot "
+                   "that an insert fills behind it")
+def test_scan_skip_returns_key_never_least():
+    # successor(0) pauses right after _scan resolves its path (the root's
+    # slot 0 is empty, so the descent stops above the bottom level).  Inside
+    # the pause insert(1) and then insert(6) complete.  The resumed scan
+    # climbs past slot 0 and returns 6, but no state that held 6 lacked 1:
+    # a linearizable answer is 15 (before insert(1)) or 1 (after it).
+    armed = [False]
+
+    def hooks(point):
+        if point == "scan-path" and armed[0]:
+            armed[0] = False
+            array.insert(1, 1)
+            array.insert(6, 6)
+
+    array = DcvebArray(branching=4, key_bits=4, hooks=hooks)
+    array.insert(15, 15)
+    armed[0] = True
+    result = array.successor(0)
+    assert result in (Entry(15, 15), Entry(1, 1))
 
 
 def _pause_once_at(point_name, in_window, resume):
