@@ -1,25 +1,29 @@
 """Concurrent ordered map over integer keys.
 
-The structure is a fixed-fanout tree of nodes; each node is itself an atomic
-occupancy summary word and carries an array of child slots.  The slots of the
-bottom level hold immutable ``Entry(key, value)`` objects instead of nodes.  A
-key's path through the tree is its base-n digit expansion, so lookups touch
-one node per digit.  The tree grows at the top by stacking new root levels
-above the old root when a key exceeds the current capacity, and trims root
-levels back off when only the leftmost subtree remains.  At the bottom it
-grows by installing nodes along an inserted key's path and shrinks by
-unlinking every node a delete empties.
+The structure is a fixed-fanout tree of nodes; each node is itself a fair
+readers-writer lock, holds an occupancy summary word and carries an array of
+child slots.  The slots of the bottom level hold immutable
+``Entry(key, value)`` objects instead of nodes.  A key's path through the
+tree is its base-n digit expansion, so lookups touch one node per digit.
+The tree grows at the top by stacking new root levels above the old root
+when a key exceeds the current capacity, and trims root levels back off when
+only the leftmost subtree remains.  At the bottom it grows by installing
+nodes along an inserted key's path and shrinks by unlinking every node a
+delete empties.
 
 Concurrency contract:
 
 * ``get``/``successor``/``predecessor``/``minimum``/``maximum`` take no locks.
 * ``insert`` briefly read-locks the published-root guard, then read-locks one
-  node per level hand over hand; many inserts proceed in parallel.  It
-  publishes its entry by one slot store under the parent's read lock.
-* ``delete`` empties the entry's slot under the parent's write lock, then
-  write-locks (parent, child) node pairs bottom-up, one pair at a time,
-  unlinking each child it finds empty, and takes the root guard exclusively
-  only while trimming.
+  node per level hand over hand; many inserts proceed in parallel.  Under a
+  node's read lock it sets a clear bit with one OR under the node's mutex,
+  and it publishes its entry by one slot store under the parent's read lock.
+* ``delete`` descends once without locks, empties the entry's slot under the
+  parent's write lock, then write-locks (parent, child) node pairs
+  bottom-up, one pair at a time, unlinking each child it finds empty, and
+  takes the root guard exclusively only while trimming.  Under a node's
+  write lock it stores the word plainly: every other writer of that word
+  holds the node's read lock (an insert's OR) or its write lock.
 * All locks are fair; no operation ever holds more than two node locks.
 
 Nodes detached from the tree stay readable by threads that still hold
@@ -33,16 +37,16 @@ from typing import Any, NamedTuple, Optional
 
 from .bitops import (
     AtomicReference,
-    AtomicWord,
-    atomic_set_child,
+    # unused here: an insert ORs its bit in under the node's mutex.  The
+    # per-layer tracer patches this name in this module, so it stays until
+    # the tracer learns the new shape (ROADMAP item 2).
+    atomic_set_child,  # noqa: F401
     capacity,
     check_branching,
     child_mask,
-    clear_child,
     max_child_below,
     min_child_above,
     required_height,
-    has_child,
 )
 from .rwlock import FairRWLock
 
@@ -57,25 +61,29 @@ class Capacity(NamedTuple):
     height: int
 
 
-class Node(AtomicWord):
-    """One tree node: its own occupancy summary word (the inherited
-    ``load``/``store``/``compare_and_set``), ``n`` child slots and a fair
-    readers-writer ``lock``.
+class Node(FairRWLock):
+    """One tree node: a fair readers-writer lock (the inherited
+    ``acquire_read``/``release_read``/``acquire_write``/``release_write``)
+    with an occupancy summary word ``value`` and ``n`` child slots.
 
     Above the bottom level a slot holds a child ``Node``; at the bottom level
     it holds an immutable :class:`Entry` whose key is the slot's path key.
     ``None`` marks an empty slot, and at quiescence a slot is occupied
     exactly when its summary bit is set.  ``bits`` is the initial summary.
-    The word's ``mutex`` also serializes ``cas_child``, so a node owns two
-    lock objects: that mutex and ``lock``.
+
+    The lock's ``_mutex`` is the node's only lock object.  Besides the
+    rwlock bookkeeping it serializes an insert's bit OR and ``cas_child``;
+    each holder takes it briefly and never nests it.  Readers load ``value``
+    plainly.  It is written by an OR under ``_mutex`` while holding the
+    node's read lock, or by a plain store while holding its write lock.
     """
 
-    __slots__ = ("children", "lock")
+    __slots__ = ("value", "children")
 
     def __init__(self, n: int, bits: int):
-        super().__init__(bits)
+        FairRWLock.__init__(self)
+        self.value = bits
         self.children = [None] * n
-        self.lock = FairRWLock()
 
     def cas_child(self, pos: int, candidate: "Node") -> "Node":
         """Install ``candidate`` at ``pos`` if the slot is empty.
@@ -83,7 +91,7 @@ class Node(AtomicWord):
         Returns the slot's occupant, i.e. ``candidate`` on success or the
         node a racing inserter installed first.
         """
-        with self.mutex:
+        with self._mutex:
             current = self.children[pos]
             if current is None:
                 self.children[pos] = candidate
@@ -326,7 +334,8 @@ class DcvebArray:
     # -- insert -----------------------------------------------------------
 
     def insert(self, key: int, value: Any) -> None:
-        self._check_key(key)
+        if type(key) is not int or key < 0 or key >= self._key_limit:
+            self._check_key(key)
         if value is None:
             raise ValueError("value must not be None (None marks vacant slots)")
         hooks = self._hooks
@@ -339,32 +348,35 @@ class DcvebArray:
                 # the new top is private until published: locking it cannot
                 # block, and an exception before the publish leaves it locked
                 # but unreachable
-                new_params.root.lock.acquire_read()
+                new_params.root.acquire_read()
                 if hooks is not None:
                     hooks("grow-pre-publish")
                 published = self._ap.compare_and_set(params, new_params)
-                held.lock.release_read()
+                held.release_read()
                 held = new_params.root
                 if published:
                     params = new_params
                     grew = True
                     break
                 # lost the publish race: drop the unpublished top and retry
-                held.lock.release_read()
+                held.release_read()
                 held = None
                 params = self._pin_root()
                 held = params.root
             n = self._n
             shift = self._shift
             mask = self._mask
-            last = params.height - 1
+            s = shift * (params.height - 1)
             node = held
-            level = 0
             while True:
-                digit = (key >> (shift * (last - level))) & mask
-                if node.load() & (1 << (n - 1 - digit)) == 0:
-                    atomic_set_child(node, digit, n)
-                if level == last:
+                digit = (key >> s) & mask
+                bit = 1 << (n - 1 - digit)
+                if node.value & bit == 0:
+                    # concurrent inserts into this node hold its read lock
+                    # too, so the read-modify-write needs the mutex
+                    with node._mutex:
+                        node.value |= bit
+                if s == 0:
                     # one reference store publishes the entry, so a reader
                     # sees either the old occupant or the whole new entry
                     node.children[digit] = Entry(key, value)
@@ -372,13 +384,13 @@ class DcvebArray:
                 child = node.children[digit]
                 if child is None:
                     child = node.cas_child(digit, Node(n, 0))
-                child.lock.acquire_read()
-                node.lock.release_read()
+                child.acquire_read()
+                node.release_read()
                 held = node = child
-                level += 1
+                s -= shift
         finally:
             if held is not None:
-                held.lock.release_read()
+                held.release_read()
         if grew:
             # the new top claims child 0 unconditionally (concurrent inserts
             # may still be landing in the adopted old tree), so when the old
@@ -390,18 +402,26 @@ class DcvebArray:
         """Snapshot the published parameters and read-lock their root.
 
         The root guard's read lock spans both steps, so no trim can pop the
-        root in between.
+        root in between.  A growth publish does not take the guard, and its
+        residue cleanup may unlink an empty old root before it is locked, so
+        the parameters are re-read once the root is locked: if they moved,
+        the pin starts over.  After a validated pin, unlinking the root
+        needs its write lock, which waits for this insert's bit.
         """
         ap_lock = self._ap_lock
-        ap_lock.acquire_read()
-        try:
-            params = self._ap.load()
-            if self._hooks is not None:
-                self._hooks("insert-snapshot")
-            params.root.lock.acquire_read()
-        finally:
-            ap_lock.release_read()
-        return params
+        while True:
+            ap_lock.acquire_read()
+            try:
+                params = self._ap.value
+                if self._hooks is not None:
+                    self._hooks("insert-snapshot")
+                root = params.root
+                root.acquire_read()
+                if self._ap.value is params:
+                    return params
+                root.release_read()
+            finally:
+                ap_lock.release_read()
 
     def _grow(self, key: int, params: TreeParams) -> TreeParams:
         """Build (privately) a taller top whose deepest new level adopts the
@@ -425,24 +445,67 @@ class DcvebArray:
     # -- delete -----------------------------------------------------------
 
     def delete(self, key: int) -> None:
-        self._check_key(key)
+        """Remove ``key``'s entry, if present.
+
+        One lock-free descent finds the bottom-level node.  Its slot is then
+        re-read under that node's write lock: an empty slot means the key
+        was absent at that moment (another delete got there first, or the
+        branch was emptied since the descent), so the call linearizes there
+        and touches nothing more.  Any entry found is removed, whether or
+        not it is the one the descent saw: ``insert`` overwrites in place,
+        so the key stayed present throughout.  The walk up then unlinks
+        every node the delete emptied, one (parent, child) pair at a time.
+        """
+        if type(key) is not int or key < 0 or key >= self._key_limit:
+            self._check_key(key)
         hooks = self._hooks
-        params = self._ap.load()
+        params = self._ap.value
         if hooks is not None:
             hooks("delete-snapshot")
         if key >= params.size:
             return
-        trail = self._make_path(key, params)
-        if trail.depth != params.height:
-            # incomplete path: nothing to delete
-            return
-        if not self._delete_internal(params, trail):
-            return
+        n = self._n
+        shift = self._shift
+        mask = self._mask
+        s = shift * (params.height - 1)
+        node = params.root
+        path = []  # the nodes above the bottom level, root first
+        while True:
+            digit = (key >> s) & mask
+            bit = 1 << (n - 1 - digit)
+            if node.value & bit == 0:
+                return
+            child = node.children[digit]
+            if child is None:
+                return
+            if s == 0:
+                break
+            path.append(node)
+            node = child
+            s -= shift
+        if hooks is not None:
+            hooks("delete-path")
+        node.acquire_write()
+        try:
+            if node.children[digit] is None:
+                return
+            node.children[digit] = None
+            word = node.value & ~bit
+            node.value = word
+        finally:
+            node.release_write()
+        if word == 0:
+            clear = self._clear_if_empty
+            for parent in reversed(path):
+                s += shift
+                if not clear(parent, (key >> s) & mask, node):
+                    break
+                node = parent
         if hooks is not None:
             hooks("delete-cleared")
         rep = 0
         max_rep = self._max_rep
-        while self._ap.load() is not params and rep < max_rep:
+        while self._ap.value is not params and rep < max_rep:
             self._clean_residue(key)
             rep += 1
         self._trim_top()
@@ -460,7 +523,7 @@ class DcvebArray:
             digit = (key >> (shift * (h - 1 - level))) & mask
             nodes[level] = node
             slots[level] = digit
-            if node.load() & (1 << (n - 1 - digit)) == 0:
+            if node.value & (1 << (n - 1 - digit)) == 0:
                 return Trail(nodes, slots, level, node)
             child = node.children[digit]
             if child is None:
@@ -469,68 +532,35 @@ class DcvebArray:
             level += 1
         return Trail(nodes, slots, h, node)
 
-    def _delete_internal(self, params: TreeParams, trail: Trail) -> bool:
-        """Empty the entry's slot, then walk up unlinking emptied nodes.
-
-        The slot is re-read under the parent's write lock.  An empty slot
-        means the key was absent at that moment (another delete got there
-        first, or the branch was emptied since the path snapshot), so this
-        call linearizes there, touches nothing and returns False.  Any
-        entry found is removed, whether or not it is the one the trail saw:
-        ``insert`` overwrites in place, so the key stayed present throughout.
-        Above the bottom level each step locks a (parent, child) pair
-        top-down, so lock order follows tree levels and never deadlocks
-        against descending inserts.
-        """
-        n = self._n
-        nodes = trail.nodes
-        slots = trail.slots
-        level = params.height - 1
-        parent = nodes[level]
-        digit = slots[level]
-        parent.lock.acquire_write()
-        try:
-            if parent.children[digit] is None:
-                return False
-            parent.children[digit] = None
-            summary = clear_child(parent.load(), digit, n)
-            parent.store(summary)
-        finally:
-            parent.lock.release_write()
-        if summary == 0:
-            for level in range(level - 1, -1, -1):
-                if not self._clear_if_empty(nodes[level], slots[level], nodes[level + 1]):
-                    break
-        return True
-
     def _clear_if_empty(self, node: Node, digit: int, child: Node) -> bool:
         """Unlink ``child`` from ``node``'s slot ``digit`` and clear the slot's
         bit if ``child`` still fills that slot and is empty, both re-checked
         under the pair's write locks.
 
-        No inserter can be between ``node`` and ``child`` while both write
-        locks are held, so an emptied child leaves the tree for good; a later
-        insert under the same digit installs a fresh node.  Returns True when
-        ``node`` itself became empty: only then may the level above need
-        clearing too.
+        The pair is locked top-down, so lock order follows tree levels and
+        never deadlocks against descending inserts.  No inserter can be
+        between ``node`` and ``child`` while both write locks are held, so an
+        emptied child leaves the tree for good; a later insert under the same
+        digit installs a fresh node.  Returns True when ``node`` itself
+        became empty: only then may the level above need clearing too.
         """
-        n = self._n
-        node.lock.acquire_write()
+        bit = 1 << (self._n - 1 - digit)
+        node.acquire_write()
         try:
-            child.lock.acquire_write()
+            child.acquire_write()
             try:
-                summary = node.load()
-                if (node.children[digit] is not child or child.load() != 0
-                        or not has_child(summary, digit, n)):
+                word = node.value
+                if (node.children[digit] is not child or child.value != 0
+                        or word & bit == 0):
                     return False
                 node.children[digit] = None
-                summary = clear_child(summary, digit, n)
-                node.store(summary)
-                return summary == 0
+                word &= ~bit
+                node.value = word
+                return word == 0
             finally:
-                child.lock.release_write()
+                child.release_write()
         finally:
-            node.lock.release_write()
+            node.release_write()
 
     def _clean_residue(self, key: int) -> None:
         """Re-verify the current path toward ``key`` and strip stale bits.
@@ -571,7 +601,7 @@ class DcvebArray:
         ap_lock = self._ap_lock
         while True:
             params = self._ap.load()
-            if params.root.load() != only_zero:
+            if params.root.value != only_zero:
                 return
             if params.height == 1:
                 return
@@ -579,9 +609,9 @@ class DcvebArray:
                 hooks("trim-pre-publish")
             root = params.root
             ap_lock.acquire_write()
-            root.lock.acquire_write()
+            root.acquire_write()
             try:
-                if root.load() == only_zero:
+                if root.value == only_zero:
                     # fetch the lonely child under the locks: its slot may
                     # have been emptied and refilled since the summary was read
                     lonely = root.children[0]
@@ -592,5 +622,5 @@ class DcvebArray:
                     )
                     self._ap.compare_and_set(params, new_params)
             finally:
-                root.lock.release_write()
+                root.release_write()
                 ap_lock.release_write()

@@ -2,12 +2,12 @@
 
 The scripted scenarios drive two threads through the exact interleavings the
 design has to survive: an insert caught between snapshotting the published
-parameters and locking the root while a trim tries to pop that root, and a
-delete whose tree grows underneath it mid-flight, leaving stale occupancy
-bits for the residue cleaner.  Test hooks compiled into the array (no-ops by
-default) provide the pause points.  The stress workloads run on the
-benchmark's thread driver (``bench.run_workload``) and share its failure
-policy.
+parameters and locking the root while a trim tries to pop that root, or
+while a growth's residue cleanup unlinks that root, and a delete whose tree
+grows underneath it mid-flight, leaving stale occupancy bits for the residue
+cleaner.  Test hooks compiled into the array (no-ops by default) provide the
+pause points.  The stress workloads run on the benchmark's thread driver
+(``bench.run_workload``) and share its failure policy.
 """
 
 from __future__ import annotations
@@ -100,6 +100,43 @@ def _insert_vs_trim() -> list[str]:
     return problems
 
 
+def _insert_vs_grow_cleanup() -> list[str]:
+    """An insert snapshots the parameters of an empty tree, then another
+    insert grows the tree by a level, and its residue cleanup unlinks the
+    old root because it is empty.  The first insert must re-pin the new
+    root rather than land in the detached old one."""
+    in_window = threading.Event()
+    resume = threading.Event()
+    armed = [False]
+
+    def hooks(point):
+        if point == "insert-snapshot" and armed[0]:
+            armed[0] = False
+            in_window.set()
+            resume.wait(5)
+
+    array = DcvebArray(branching=4, key_bits=4, hooks=hooks)
+    armed[0] = True
+
+    def pinner():
+        array.insert(1, "pinned")
+
+    def grower():
+        in_window.wait(5)
+        array.insert(5, "grown")  # height 1 -> 2; the empty old root is unlinked
+        resume.set()
+
+    problems = _run_pair(pinner, grower)
+    for key, value in ((1, "pinned"), (5, "grown")):
+        entry = array.get(key)
+        if entry is None or entry.value != value:
+            problems.append("insert lost: get(%d) = %r" % (key, entry))
+    report = quiescent_walk(array)
+    if report.violations:
+        problems.append("walk violations: %r" % (report.violations,))
+    return problems
+
+
 def _grow_vs_delete_residue() -> list[str]:
     """A delete snapshots the parameters, then an insert grows the tree by a
     level.  The delete can only propagate up to the old root, so the new top
@@ -141,8 +178,8 @@ def _grow_vs_delete_residue() -> list[str]:
 
 def _two_inserters_one_parent() -> list[str]:
     """Two inserts race to materialize one shared parent and then store
-    sibling entries in it; the slot CAS and the summary CAS loop must keep
-    both."""
+    sibling entries in it; the slot CAS and the summary word's locked OR
+    must keep both."""
     array = DcvebArray(branching=64)
     barrier = threading.Barrier(2)
 
@@ -163,7 +200,7 @@ def _two_inserters_one_parent() -> list[str]:
     if parent is None:
         problems.append("shared parent missing")
     else:
-        summary = parent.load()
+        summary = parent.value
         n = array.branching
         for pos in (2, 3):  # 130 = [2, 2], 131 = [2, 3]
             if not summary & (1 << (n - 1 - pos)):
@@ -176,6 +213,7 @@ def _two_inserters_one_parent() -> list[str]:
 
 _SCENARIOS = {
     "insert-vs-trim": _insert_vs_trim,
+    "insert-vs-grow-cleanup": _insert_vs_grow_cleanup,
     "grow-vs-delete-residue": _grow_vs_delete_residue,
     "two-inserters-one-parent": _two_inserters_one_parent,
 }

@@ -66,7 +66,7 @@ def quiescent_walk(array) -> WalkReport:
 def _walk(node, level, height, n, key_prefix, path, report, entries) -> int:
     """Recursive invariant check; returns the subtree's live entry count."""
     report.internal_node_count += 1
-    summary = node.load()
+    summary = node.value
     if summary >> n:
         report.violations.append((path, "summary-high-bits", summary))
     bottom = level + 1 == height
@@ -141,7 +141,7 @@ def _fingerprint(slot):
         return ("entry", slot.key, slot.value)
     return (
         "node",
-        slot.load(),
+        slot.value,
         tuple(
             (p, _fingerprint(child))
             for p, child in enumerate(slot.children)

@@ -1,7 +1,11 @@
+import os
+import subprocess
+import sys
 import threading
 
 import pytest
 
+import dcveb
 from dcveb.bench import (
     CSV_HEADER,
     DeadlockSuspectedError,
@@ -204,6 +208,19 @@ def test_cli_smoke(tmp_path, capsys):
     assert "mean per-thread time" in out
     assert "aggregate throughput" in out
     assert csv_path.exists()
+
+
+def test_module_entry_point_runs_without_warnings():
+    # ``python -m dcveb`` runs the CLI; ``-W error`` turns the runpy warning
+    # that ``python -m dcveb.bench`` gives into a failure
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dcveb.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "dcveb", "--help"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "--structure" in proc.stdout
+    assert proc.stderr == ""
 
 
 def test_cli_rejects_unknown_structure(capsys):

@@ -1,9 +1,11 @@
+import gc
 import random
+import threading
 from enum import IntEnum
 
 import pytest
 
-from dcveb.core import Capacity, DcvebArray, Entry
+from dcveb.core import Capacity, DcvebArray, Entry, Node
 from dcveb.oracle import OracleMap
 from dcveb.walker import quiescent_walk
 
@@ -71,6 +73,24 @@ class TestConstruction:
             make_array().insert(1, None)
 
 
+def test_node_owns_one_lock_object():
+    # Follow a fresh node's references, except into its child slots and
+    # through classes, and count the threading.Lock objects met.
+    lock_type = type(threading.Lock())
+    node = Node(4, 0)
+    seen, stack, locks = set(), [node], 0
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or obj is node.children or isinstance(obj, type):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, lock_type):
+            locks += 1
+        else:
+            stack.extend(gc.get_referents(obj))
+    assert locks == 1
+
+
 class TestInsertGet:
     def test_single_element(self):
         array = make_array()
@@ -132,7 +152,7 @@ class TestDelete:
         array.insert(5, "A")
         array.delete(5)
         root = array._params().root
-        assert root.load() == 0
+        assert root.value == 0
         assert all(child is None for child in root.children)
         assert quiescent_walk(array).ok()
 
@@ -146,7 +166,7 @@ class TestDelete:
         # parent stays in place, keeps exactly the sibling's bit and has the
         # deleted key's slot emptied
         assert root.children[2] is parent
-        assert parent.load() == 1 << (64 - 1 - 3)
+        assert parent.value == 1 << (64 - 1 - 3)
         assert parent.children[2] is None
         assert parent.children[3] == Entry(131, "B")
         assert array.get(131) == Entry(131, "B")
@@ -160,7 +180,7 @@ class TestDelete:
         array.delete(64 * 64 + 3)
         assert array.get(5) == Entry(5, "low")
         # root still anchors the subtree holding key 5
-        assert root is not array._params().root or root.load() != 0
+        assert root is not array._params().root or root.value != 0
         assert quiescent_walk(array).ok()
 
     def test_delete_then_successor(self):
@@ -199,7 +219,7 @@ class TestDelete:
         array.delete(130)
         # the emptied parent leaves the root's slot; its sibling stays
         assert root.children[2] is None
-        assert root.load() == 1 << (64 - 1 - 3)
+        assert root.value == 1 << (64 - 1 - 3)
         assert root.children[3].children[8] == Entry(200, "B")
         assert quiescent_walk(array).ok()
 

@@ -18,8 +18,12 @@ def test_hook_points_fire_in_order():
     array.insert(3, "keep")
     assert points == ["insert-snapshot"]
     points.clear()
-    array.delete(70)  # snapshot, entry cleared, then a trim attempt
-    assert points == ["delete-snapshot", "delete-cleared", "trim-pre-publish"]
+    array.delete(70)  # snapshot, path found, entry cleared, then a trim attempt
+    assert points == ["delete-snapshot", "delete-path", "delete-cleared",
+                      "trim-pre-publish"]
+    points.clear()
+    array.delete(71)  # absent: the descent stops before the path point
+    assert points == ["delete-snapshot"]
     points.clear()
     assert array.successor(3) == Entry(3, "keep")  # exact hit: no scan
     assert array.successor(4) is None  # nothing past 3: the scan runs
@@ -90,38 +94,80 @@ def test_paused_delete_removes_rebuilt_entry():
     assert quiescent_walk(array).ok()
 
 
+def _run_once_at(point_name, action):
+    """Hooks that record every point and run ``action`` at the first
+    ``point_name`` after ``armed[0]`` is set."""
+    armed = [False]
+    points = []
+
+    def hooks(point):
+        points.append(point)
+        if point == point_name and armed[0]:
+            armed[0] = False
+            action()
+
+    return hooks, armed, points
+
+
 def test_stale_trail_delete_aborts_without_touching_rebuild():
-    # White box: resolve a path, let the branch be emptied (its nodes
-    # unlinked) and rebuilt, then run the deletion pass with the stale trail.
-    # The stale parent's slot is empty under its lock, so the pass aborts and
-    # leaves the rebuilt entry alone; the aborted delete linearizes between
-    # the other delete and the re-insert.
-    array = DcvebArray(branching=64)
+    # delete(130) pauses after its descent found the bottom-level node.  In
+    # the pause the branch is emptied (its nodes unlinked) and rebuilt.  The
+    # stale node's slot is empty under its write lock, so the delete aborts
+    # and leaves the rebuilt entry alone; it linearizes between the other
+    # delete and the re-insert.
+    def rebuild():
+        array.delete(130)   # empties the branch: the parent is unlinked
+        array.insert(130, "new")
+
+    hooks, armed, points = _run_once_at("delete-path", rebuild)
+    array = DcvebArray(branching=64, hooks=hooks)
     array.insert(130, "old")
-    params = array._params()
-    stale = array._make_path(130, params)
-    assert stale.depth == params.height
-    array.delete(130)   # empties the branch: the parent is unlinked
-    array.insert(130, "new")
-    assert array._delete_internal(params, stale) is False
+    stale = array._params().root.children[2]
+    armed[0] = True
+    points.clear()
+    array.delete(130)
+    assert array._params().root.children[2] is not stale
+    # the inner delete cleared; the outer one stopped at its write lock
+    assert points.count("delete-cleared") == 1
     assert array.get(130) == Entry(130, "new")
     assert quiescent_walk(array).ok()
 
 
 def test_stale_trail_delete_after_overwrite_removes_key():
-    # White box: resolve a path, overwrite the key (a new Entry lands in the
-    # same slot), then run the deletion pass with the old trail.  The key was
-    # present throughout, so the delete must take effect and leave it absent;
-    # aborting because the slot no longer holds the trail's Entry would not be
-    # linearizable.
-    array = DcvebArray(branching=64)
+    # delete(130) pauses after its descent, and the key is overwritten in
+    # the pause (a new Entry lands in the same slot).  The key was present
+    # throughout, so the delete must take effect and leave it absent;
+    # aborting because the slot no longer holds the Entry the descent saw
+    # would not be linearizable.
+    seen = []
+
+    def overwrite():
+        parent = array._params().root.children[2]
+        seen.append(parent.children[2])
+        array.insert(130, "new")
+        assert parent.children[2] != seen[0]
+
+    hooks, armed, _ = _run_once_at("delete-path", overwrite)
+    array = DcvebArray(branching=64, hooks=hooks)
     array.insert(130, "old")
-    params = array._params()
-    stale = array._make_path(130, params)
-    array.insert(130, "new")
-    assert stale.node != array._params().root.children[2].children[2]
-    assert array._delete_internal(params, stale) is True
+    armed[0] = True
+    array.delete(130)
+    assert seen == [Entry(130, "old")]
     assert array.get(130) is None
+    assert quiescent_walk(array).ok()
+
+
+def test_insert_survives_growth_cleanup_of_its_root():
+    # insert(1) pauses after snapshotting the parameters, before locking the
+    # root.  In the pause insert(5) grows the empty fanout-4 tree to height
+    # 2 and its residue cleanup unlinks the old root, which is empty.  The
+    # paused insert must not land in that detached node.
+    hooks, armed, _ = _run_once_at("insert-snapshot", lambda: array.insert(5, 5))
+    array = DcvebArray(branching=4, key_bits=4, hooks=hooks)
+    armed[0] = True
+    array.insert(1, 1)
+    assert array.get(1) == Entry(1, 1)
+    assert array.get(5) == Entry(5, 5)
     assert quiescent_walk(array).ok()
 
 
@@ -163,7 +209,7 @@ def test_walker_flags_summary_high_bits():
     array = DcvebArray(branching=8, key_bits=16)
     array.insert(3, "x")
     root = array._params().root
-    root.store(root.load() | (1 << 60))
+    root.value |= 1 << 60
     report = quiescent_walk(array)
     assert any(v[1] == "summary-high-bits" for v in report.violations)
 

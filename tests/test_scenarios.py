@@ -14,6 +14,7 @@ from dcveb.walker import structure_fingerprint
 def test_scenario_registry():
     assert scenario_names() == [
         "grow-vs-delete-residue",
+        "insert-vs-grow-cleanup",
         "insert-vs-trim",
         "two-inserters-one-parent",
     ]
@@ -21,7 +22,8 @@ def test_scenario_registry():
         run_scenario("no-such-scenario")
 
 
-@pytest.mark.parametrize("name", ["insert-vs-trim", "grow-vs-delete-residue",
+@pytest.mark.parametrize("name", ["insert-vs-trim", "insert-vs-grow-cleanup",
+                                  "grow-vs-delete-residue",
                                   "two-inserters-one-parent"])
 def test_scenarios_pass_repeatedly(name):
     report = run_scenario(name, iterations=25)

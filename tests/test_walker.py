@@ -50,7 +50,7 @@ def test_detects_injected_bit_over_empty_child():
     array.insert(130, "C")
     # corrupt: claim child 9 of the root is occupied
     root = array._params().root
-    root.store(root.load() | child_mask(9, 64))
+    root.value |= child_mask(9, 64)
     report = quiescent_walk(array)
     assert [v[1] for v in report.violations] == ["bit-set-child-missing"]
 
@@ -59,7 +59,7 @@ def test_detects_hidden_live_entry():
     array = DcvebArray()
     array.insert(130, "C")
     root = array._params().root
-    root.store(0)  # hide the live subtree
+    root.value = 0  # hide the live subtree
     report = quiescent_walk(array)
     names = {v[1] for v in report.violations}
     assert "bit-clear-subtree-nonempty" in names
