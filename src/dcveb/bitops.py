@@ -50,28 +50,6 @@ class AtomicWord:
             return False
 
 
-class AtomicReference:
-    """Reference cell with atomic load and compare-and-set (identity compare).
-
-    As with :class:`AtomicWord`, reading ``value`` is a plain load."""
-
-    __slots__ = ("value", "_lock")
-
-    def __init__(self, value=None):
-        self.value = value
-        self._lock = threading.Lock()
-
-    def load(self):
-        return self.value
-
-    def compare_and_set(self, expected, update) -> bool:
-        with self._lock:
-            if self.value is expected:
-                self.value = update
-                return True
-            return False
-
-
 def check_branching(n: int) -> None:
     """Reject branching factors that are not powers of two in [2, WORD_BITS]."""
     if not isinstance(n, int) or n < 2 or n > WORD_BITS or n & (n - 1):
@@ -85,18 +63,6 @@ def child_mask(p: int, n: int) -> int:
     """Word with exactly the bit for child position ``p`` set."""
     assert 0 <= p < n, "child position out of range"
     return 1 << (n - 1 - p)
-
-
-def has_child(bits: int, p: int, n: int) -> bool:
-    """True iff the occupancy bit for child ``p`` is set."""
-    assert 0 <= p < n, "child position out of range"
-    return bits & (1 << (n - 1 - p)) != 0
-
-
-def clear_child(bits: int, p: int, n: int) -> int:
-    """``bits`` with the bit for child ``p`` cleared; other bits unchanged."""
-    assert 0 <= p < n, "child position out of range"
-    return bits & ~(1 << (n - 1 - p))
 
 
 def min_child_above(bits: int, p: int | None, n: int) -> int | None:

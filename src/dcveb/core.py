@@ -14,17 +14,24 @@ delete empties.
 Concurrency contract:
 
 * ``get``/``successor``/``predecessor``/``minimum``/``maximum`` take no locks.
+* The published parameters (size, height, root) change only under the
+  root guard's write lock plus the old root's write lock: a growth and a
+  trim are the only publishers, and each stores the new parameters plainly.
 * ``insert`` briefly read-locks the published-root guard, then read-locks one
   node per level hand over hand; many inserts proceed in parallel.  Under a
   node's read lock it sets a clear bit with one OR under the node's mutex,
   and it publishes its entry by one slot store under the parent's read lock.
+  A key beyond the current capacity makes it take the guard exclusively to
+  grow the tree first, while it holds no other lock.
 * ``delete`` descends once without locks, empties the entry's slot under the
   parent's write lock, then write-locks (parent, child) node pairs
-  bottom-up, one pair at a time, unlinking each child it finds empty, and
-  takes the root guard exclusively only while trimming.  Under a node's
-  write lock it stores the word plainly: every other writer of that word
-  holds the node's read lock (an insert's OR) or its write lock.
-* All locks are fair; no operation ever holds more than two node locks.
+  bottom-up, one pair at a time, unlinking each child it finds empty.  It
+  takes the root guard shared only for one residue pass when the
+  parameters moved under it, and exclusively only while trimming.  Under a
+  node's write lock it stores the word plainly: every other writer of that
+  word holds the node's read lock (an insert's OR) or its write lock.
+* All locks are fair; the guard is always taken before any node lock, and
+  no operation ever holds more than two node locks.
 
 Nodes detached from the tree stay readable by threads that still hold
 references (reclamation is deferred to the garbage collector), which is what
@@ -36,7 +43,6 @@ from __future__ import annotations
 from typing import Any, NamedTuple, Optional
 
 from .bitops import (
-    AtomicReference,
     # unused here: an insert ORs its bit in under the node's mutex.  The
     # per-layer tracer patches this name in this module, so it stays until
     # the tracer learns the new shape (ROADMAP item 2).
@@ -100,7 +106,7 @@ class Node(FairRWLock):
 
 
 class TreeParams:
-    """Published tree shape: read-only after publication through the ap cell."""
+    """Published tree shape: read-only once stored in ``DcvebArray._ap``."""
 
     __slots__ = ("size", "height", "root")
 
@@ -134,9 +140,7 @@ class DcvebArray:
     """Concurrent dynamic set of integer-keyed entries with order queries.
 
     ``branching`` is the tree fanout (power of two, at most 64).  Keys must
-    lie in ``[0, 2**key_bits)``; bounding the key domain bounds how many
-    root-growth races a single delete may need to clean up after: ``max_rep``
-    is exactly that bound.
+    lie in ``[0, 2**key_bits)``.
     """
 
     def __init__(self, branching: int = 64, key_bits: int = 63, hooks=None):
@@ -147,10 +151,10 @@ class DcvebArray:
         self._shift = branching.bit_length() - 1
         self._mask = branching - 1
         self._key_limit = 1 << key_bits
-        self._max_rep = required_height(self._key_limit - 1, branching)
         self._hooks = hooks
         self._ap_lock = FairRWLock()
-        self._ap = AtomicReference(TreeParams(branching, 1, Node(branching, 0)))
+        # stored only under the guard's write lock; read plainly
+        self._ap = TreeParams(branching, 1, Node(branching, 0))
 
     # -- introspection ---------------------------------------------------
 
@@ -158,16 +162,12 @@ class DcvebArray:
     def branching(self) -> int:
         return self._n
 
-    @property
-    def max_rep(self) -> int:
-        return self._max_rep
-
     def capacity_snapshot(self) -> Capacity:
-        params = self._ap.load()
+        params = self._ap
         return Capacity(params.size, params.height)
 
     def _params(self) -> TreeParams:
-        return self._ap.load()
+        return self._ap
 
     def _check_key(self, key) -> None:
         if (not isinstance(key, int) or isinstance(key, bool)
@@ -186,7 +186,7 @@ class DcvebArray:
     def get(self, key: int) -> Optional[Entry]:
         if type(key) is not int or key < 0 or key >= self._key_limit:
             self._check_key(key)
-        params = self._ap.value
+        params = self._ap
         if key >= params.size:
             return None
         n = self._n
@@ -218,7 +218,7 @@ class DcvebArray:
         """
         if type(key) is not int or key < 0 or key >= self._key_limit:
             self._check_key(key)
-        params = self._ap.value
+        params = self._ap
         if key >= params.size:
             return None
         n = self._n
@@ -251,7 +251,7 @@ class DcvebArray:
         """Entry with the largest key' <= key, or None.  Mirror of successor."""
         if type(key) is not int or key < 0 or key >= self._key_limit:
             self._check_key(key)
-        params = self._ap.value
+        params = self._ap
         if key >= params.size:
             key = params.size - 1
         n = self._n
@@ -283,7 +283,7 @@ class DcvebArray:
         return self.successor(0)
 
     def maximum(self) -> Optional[Entry]:
-        params = self._ap.load()
+        params = self._ap
         return self._scan(params, params.size - 1, False)
 
     def _scan(self, params: TreeParams, key: int, ascending: bool) -> Optional[Entry]:
@@ -338,36 +338,13 @@ class DcvebArray:
             self._check_key(key)
         if value is None:
             raise ValueError("value must not be None (None marks vacant slots)")
-        hooks = self._hooks
-        params = self._pin_root()
-        held = params.root  # the one node whose read lock this call holds
+        params = self._pin_root(key)
+        node = params.root  # the one node whose read lock this call holds
         try:
-            grew = False
-            while key >= params.size:
-                new_params = self._grow(key, params)
-                # the new top is private until published: locking it cannot
-                # block, and an exception before the publish leaves it locked
-                # but unreachable
-                new_params.root.acquire_read()
-                if hooks is not None:
-                    hooks("grow-pre-publish")
-                published = self._ap.compare_and_set(params, new_params)
-                held.release_read()
-                held = new_params.root
-                if published:
-                    params = new_params
-                    grew = True
-                    break
-                # lost the publish race: drop the unpublished top and retry
-                held.release_read()
-                held = None
-                params = self._pin_root()
-                held = params.root
             n = self._n
             shift = self._shift
             mask = self._mask
             s = shift * (params.height - 1)
-            node = held
             while True:
                 digit = (key >> s) & mask
                 bit = 1 << (n - 1 - digit)
@@ -386,61 +363,72 @@ class DcvebArray:
                     child = node.cas_child(digit, Node(n, 0))
                 child.acquire_read()
                 node.release_read()
-                held = node = child
+                node = child
                 s -= shift
         finally:
-            if held is not None:
-                held.release_read()
-        if grew:
-            # the new top claims child 0 unconditionally (concurrent inserts
-            # may still be landing in the adopted old tree), so when the old
-            # tree was actually empty the all-zeros spine is stale; verify
-            # and strip it now that the top is published
-            self._clean_residue(0)
+            node.release_read()
 
-    def _pin_root(self) -> TreeParams:
-        """Snapshot the published parameters and read-lock their root.
+    def _pin_root(self, key: int) -> TreeParams:
+        """Snapshot the published parameters and read-lock their root,
+        growing the tree first while ``key`` does not fit.
 
-        The root guard's read lock spans both steps, so no trim can pop the
-        root in between.  A growth publish does not take the guard, and its
-        residue cleanup may unlink an empty old root before it is locked, so
-        the parameters are re-read once the root is locked: if they moved,
-        the pin starts over.  After a validated pin, unlinking the root
-        needs its write lock, which waits for this insert's bit.
+        The root guard's read lock spans both steps, and every publish takes
+        the guard's write lock, so the root is still published once it is
+        locked.  From then on, unlinking or detaching the root needs its
+        write lock, which waits for this insert's bit.  A growth takes the
+        guard exclusively, so it runs after the read lock is released, while
+        this thread holds no lock at all.
         """
         ap_lock = self._ap_lock
         while True:
             ap_lock.acquire_read()
             try:
-                params = self._ap.value
+                params = self._ap
                 if self._hooks is not None:
                     self._hooks("insert-snapshot")
-                root = params.root
-                root.acquire_read()
-                if self._ap.value is params:
+                if key < params.size:
+                    params.root.acquire_read()
                     return params
-                root.release_read()
             finally:
                 ap_lock.release_read()
+            self._grow(key)
 
-    def _grow(self, key: int, params: TreeParams) -> TreeParams:
-        """Build (privately) a taller top whose deepest new level adopts the
-        current root as child 0.  The old tree is not reorganized."""
-        n = self._n
-        new_height = required_height(key, n)
-        new_params = TreeParams(capacity(new_height, n), new_height, None)
-        top_size = new_height - params.height
-        prev = None
-        for i in range(top_size):
-            node = Node(n, child_mask(0, n))
-            if i == 0:
-                new_params.root = node
-            else:
-                prev.children[0] = node
-            if i == top_size - 1:
-                node.children[0] = params.root
-            prev = node
-        return new_params
+    def _grow(self, key: int) -> None:
+        """Publish a tree tall enough for ``key``, unless one already is.
+
+        Runs under the root guard's write lock plus the old root's write
+        lock, so no insert is inside the old root and no delete can clear
+        its word.  A non-empty old root becomes child 0 of a chain of new
+        levels; the old tree is not reorganized.  An empty old root is
+        dropped for one fresh empty root instead, so growth never leaves an
+        all-zeros spine behind.
+        """
+        ap_lock = self._ap_lock
+        ap_lock.acquire_write()
+        try:
+            params = self._ap
+            if key < params.size:
+                return  # another insert grew the tree first
+            old = params.root
+            old.acquire_write()
+            try:
+                n = self._n
+                height = required_height(key, n)
+                if old.value == 0:
+                    root = Node(n, 0)
+                else:
+                    root = old
+                    for _ in range(height - params.height):
+                        top = Node(n, child_mask(0, n))
+                        top.children[0] = root
+                        root = top
+                if self._hooks is not None:
+                    self._hooks("grow-pre-publish")
+                self._ap = TreeParams(capacity(height, n), height, root)
+            finally:
+                old.release_write()
+        finally:
+            ap_lock.release_write()
 
     # -- delete -----------------------------------------------------------
 
@@ -459,7 +447,7 @@ class DcvebArray:
         if type(key) is not int or key < 0 or key >= self._key_limit:
             self._check_key(key)
         hooks = self._hooks
-        params = self._ap.value
+        params = self._ap
         if hooks is not None:
             hooks("delete-snapshot")
         if key >= params.size:
@@ -503,11 +491,15 @@ class DcvebArray:
                 node = parent
         if hooks is not None:
             hooks("delete-cleared")
-        rep = 0
-        max_rep = self._max_rep
-        while self._ap.value is not params and rep < max_rep:
-            self._clean_residue(key)
-            rep += 1
+        if self._ap is not params:
+            # the walk stopped at the root it snapshotted, below any levels
+            # a growth stacked on top since; one guarded pass strips them
+            ap_lock = self._ap_lock
+            ap_lock.acquire_read()
+            try:
+                self._clean_residue(key)
+            finally:
+                ap_lock.release_read()
         self._trim_top()
 
     def _make_path(self, key: int, params: TreeParams) -> Trail:
@@ -572,8 +564,14 @@ class DcvebArray:
         any child that is verifiably empty and clears its bit.  It never
         clears a bit over a live entry: emptiness is re-checked while holding
         both locks.
+
+        ``delete`` runs it under the root guard's read lock, so no growth or
+        trim publishes during the pass and one pass reaches every stacked
+        level.  A growth after the delete's walk finds the emptied old root
+        under its write lock and does not adopt it, so no residue can
+        appear behind the pass.
         """
-        params = self._ap.load()
+        params = self._ap
         if key >= params.size:
             return
         trail = self._make_path(key, params)
@@ -600,7 +598,7 @@ class DcvebArray:
         hooks = self._hooks
         ap_lock = self._ap_lock
         while True:
-            params = self._ap.load()
+            params = self._ap
             if params.root.value != only_zero:
                 return
             if params.height == 1:
@@ -611,16 +609,15 @@ class DcvebArray:
             ap_lock.acquire_write()
             root.acquire_write()
             try:
-                if root.value == only_zero:
+                if self._ap is params and root.value == only_zero:
                     # fetch the lonely child under the locks: its slot may
                     # have been emptied and refilled since the summary was read
                     lonely = root.children[0]
                     if lonely is None:
                         return
-                    new_params = TreeParams(
+                    self._ap = TreeParams(
                         capacity(params.height - 1, n), params.height - 1, lonely
                     )
-                    self._ap.compare_and_set(params, new_params)
             finally:
                 root.release_write()
                 ap_lock.release_write()

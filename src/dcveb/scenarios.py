@@ -3,11 +3,12 @@
 The scripted scenarios drive two threads through the exact interleavings the
 design has to survive: an insert caught between snapshotting the published
 parameters and locking the root while a trim tries to pop that root, or
-while a growth's residue cleanup unlinks that root, and a delete whose tree
-grows underneath it mid-flight, leaving stale occupancy bits for the residue
-cleaner.  Test hooks compiled into the array (no-ops by default) provide the
-pause points.  The stress workloads run on the benchmark's thread driver
-(``bench.run_workload``) and share its failure policy.
+while a growth waits to stack levels above it, and a delete whose tree
+grows underneath it mid-flight, leaving stale occupancy bits for its
+guarded residue pass.  Test hooks compiled into the array (no-ops by
+default) provide the pause points.  The stress workloads run on the
+benchmark's thread driver (``bench.run_workload``) and share its failure
+policy.
 """
 
 from __future__ import annotations
@@ -100,22 +101,23 @@ def _insert_vs_trim() -> list[str]:
     return problems
 
 
-def _insert_vs_grow_cleanup() -> list[str]:
+def _grow_waits_for_pin() -> list[str]:
     """An insert snapshots the parameters of an empty tree, then another
-    insert grows the tree by a level, and its residue cleanup unlinks the
-    old root because it is empty.  The first insert must re-pin the new
-    root rather than land in the detached old one."""
+    insert needs a taller tree.  The growth must wait for the root guard
+    until the first insert has pinned the root and set its bit, and then
+    adopt that root as child 0 rather than drop it as empty."""
     in_window = threading.Event()
-    resume = threading.Event()
     armed = [False]
 
     def hooks(point):
         if point == "insert-snapshot" and armed[0]:
             armed[0] = False
             in_window.set()
-            resume.wait(5)
+            # parked holding the guard read lock: give the growth time to block
+            time.sleep(0.0005)
 
     array = DcvebArray(branching=4, key_bits=4, hooks=hooks)
+    original_root = array._params().root
     armed[0] = True
 
     def pinner():
@@ -123,14 +125,15 @@ def _insert_vs_grow_cleanup() -> list[str]:
 
     def grower():
         in_window.wait(5)
-        array.insert(5, "grown")  # height 1 -> 2; the empty old root is unlinked
-        resume.set()
+        array.insert(5, "grown")  # height 1 -> 2
 
     problems = _run_pair(pinner, grower)
     for key, value in ((1, "pinned"), (5, "grown")):
         entry = array.get(key)
         if entry is None or entry.value != value:
             problems.append("insert lost: get(%d) = %r" % (key, entry))
+    if array._params().root.children[0] is not original_root:
+        problems.append("growth did not adopt the pinned root")
     report = quiescent_walk(array)
     if report.violations:
         problems.append("walk violations: %r" % (report.violations,))
@@ -140,8 +143,8 @@ def _insert_vs_grow_cleanup() -> list[str]:
 def _grow_vs_delete_residue() -> list[str]:
     """A delete snapshots the parameters, then an insert grows the tree by a
     level.  The delete can only propagate up to the old root, so the new top
-    level is left claiming a now-empty subtree; the residue cleaner must
-    strip that bit before the delete returns."""
+    level is left claiming a now-empty subtree; the delete's guarded residue
+    pass must strip that bit before the delete returns."""
     in_window = threading.Event()
     resume = threading.Event()
     armed = [False]
@@ -213,7 +216,7 @@ def _two_inserters_one_parent() -> list[str]:
 
 _SCENARIOS = {
     "insert-vs-trim": _insert_vs_trim,
-    "insert-vs-grow-cleanup": _insert_vs_grow_cleanup,
+    "grow-waits-for-pin": _grow_waits_for_pin,
     "grow-vs-delete-residue": _grow_vs_delete_residue,
     "two-inserters-one-parent": _two_inserters_one_parent,
 }

@@ -10,11 +10,9 @@ from dcveb.bitops import (
     capacity,
     check_branching,
     child_mask,
-    clear_child,
     max_child_below,
     min_child_above,
     required_height,
-    has_child,
 )
 
 
@@ -48,37 +46,6 @@ class TestChildMask:
     def test_out_of_range(self):
         with pytest.raises(AssertionError):
             child_mask(8, 8)
-
-
-class TestHasChild:
-    def test_empty_summary(self):
-        assert all(not has_child(0, p, 8) for p in range(8))
-
-    def test_set_then_test(self):
-        assert has_child(child_mask(3, 8), 3, 8)
-
-    def test_unset_bit(self):
-        assert not has_child(0b10100000, 1, 8)
-
-
-class TestClearChild:
-    def test_clear_only_bit(self):
-        assert clear_child(child_mask(5, 8), 5, 8) == 0
-
-    def test_clear_high_bit(self):
-        assert clear_child(0b11000000, 0, 8) == 0b01000000
-
-    def test_clear_unset_is_noop(self):
-        assert clear_child(0, 3, 8) == 0
-
-    def test_other_bits_untouched(self):
-        word = 0b10110101
-        for p in range(8):
-            cleared = clear_child(word, p, 8)
-            assert not has_child(cleared, p, 8)
-            for q in range(8):
-                if q != p:
-                    assert has_child(cleared, q, 8) == has_child(word, q, 8)
 
 
 class TestNeighborScans:

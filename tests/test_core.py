@@ -30,10 +30,6 @@ class TestConstruction:
             with pytest.raises(ValueError):
                 DcvebArray(branching=n)
 
-    def test_max_rep_defaults(self):
-        assert DcvebArray(branching=64, key_bits=31).max_rep == 6
-        assert DcvebArray(branching=64, key_bits=63).max_rep == 11
-
     def test_key_domain_enforced(self):
         array = DcvebArray(branching=64, key_bits=16)
         for bad in (-1, 1 << 16, "7", 2.0, True, False):
@@ -102,6 +98,9 @@ class TestInsertGet:
         array.insert(70, "B")
         assert array.capacity_snapshot() == Capacity(4096, 2)
         assert array.get(70) == Entry(70, "B")
+        # the empty old root was dropped, not adopted as child 0
+        assert array._params().root.children[0] is None
+        assert quiescent_walk(array).ok()
 
     def test_duplicate_insert_overwrites(self):
         array = make_array()

@@ -12,8 +12,8 @@ from dcveb.walker import quiescent_walk
 def test_hook_points_fire_in_order():
     points = []
     array = DcvebArray(branching=64, hooks=points.append)
-    array.insert(70, "x")  # snapshot, grow publish
-    assert points == ["insert-snapshot", "grow-pre-publish"]
+    array.insert(70, "x")  # snapshot, grow publish, snapshot of the new root
+    assert points == ["insert-snapshot", "grow-pre-publish", "insert-snapshot"]
     points.clear()
     array.insert(3, "keep")
     assert points == ["insert-snapshot"]
@@ -157,18 +157,73 @@ def test_stale_trail_delete_after_overwrite_removes_key():
     assert quiescent_walk(array).ok()
 
 
-def test_insert_survives_growth_cleanup_of_its_root():
-    # insert(1) pauses after snapshotting the parameters, before locking the
-    # root.  In the pause insert(5) grows the empty fanout-4 tree to height
-    # 2 and its residue cleanup unlinks the old root, which is empty.  The
-    # paused insert must not land in that detached node.
-    hooks, armed, _ = _run_once_at("insert-snapshot", lambda: array.insert(5, 5))
-    array = DcvebArray(branching=4, key_bits=4, hooks=hooks)
-    armed[0] = True
-    array.insert(1, 1)
+def _start_grower(array, growers):
+    """Start insert(5), which must grow the fanout-4 tree, in a daemon
+    thread and give it 0.2 s to finish."""
+    grower = threading.Thread(target=array.insert, args=(5, 5), daemon=True)
+    grower.start()
+    grower.join(0.2)
+    growers.append(grower)
+
+
+def _assert_growth_waited_and_adopted(array, original_root, growers):
+    assert growers[0].is_alive(), "growth published inside the pinned window"
+    growers[0].join(10)
+    assert not growers[0].is_alive()
     assert array.get(1) == Entry(1, 1)
     assert array.get(5) == Entry(5, 5)
+    assert array._params().root.children[0] is original_root
     assert quiescent_walk(array).ok()
+
+
+def test_insert_survives_growth_cleanup_of_its_root():
+    # insert(1) pauses after snapshotting the parameters of the empty
+    # fanout-4 tree, holding the root guard's read lock.  The growth started
+    # from the pause waits for the guard until insert(1) has pinned the root
+    # and set its bit; it then adopts that root instead of dropping it as
+    # empty.
+    growers = []
+    hooks, armed, _ = _run_once_at("insert-snapshot",
+                                   lambda: _start_grower(array, growers))
+    array = DcvebArray(branching=4, key_bits=4, hooks=hooks)
+    original_root = array._params().root
+    armed[0] = True
+    array.insert(1, 1)
+    _assert_growth_waited_and_adopted(array, original_root, growers)
+
+
+class _RunOnEnter:
+    """Stand-in for a node's mutex that runs ``action`` once, on the first
+    ``with`` entry (an insert's bit OR), before taking the real lock."""
+
+    def __init__(self, lock, action):
+        self._lock = lock
+        self._action = action
+        self.acquire = lock.acquire
+        self.release = lock.release
+
+    def __enter__(self):
+        action, self._action = self._action, None
+        if action is not None:
+            action()
+        return self._lock.__enter__()
+
+    def __exit__(self, *exc):
+        return self._lock.__exit__(*exc)
+
+
+def test_growth_waits_for_pinned_insert_to_set_its_bit():
+    # insert(1) has read-locked the empty root and released the guard, but
+    # not yet set its bit.  A growth started there gets the guard and must
+    # then wait for the old root's write lock: judging the root empty before
+    # the bit lands would drop it with the insert inside.
+    array = DcvebArray(branching=4, key_bits=4)
+    original_root = array._params().root
+    growers = []
+    original_root._mutex = _RunOnEnter(original_root._mutex,
+                                       lambda: _start_grower(array, growers))
+    array.insert(1, 1)
+    _assert_growth_waited_and_adopted(array, original_root, growers)
 
 
 def test_delete_lands_on_reused_parent_node():

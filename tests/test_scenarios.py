@@ -14,7 +14,7 @@ from dcveb.walker import structure_fingerprint
 def test_scenario_registry():
     assert scenario_names() == [
         "grow-vs-delete-residue",
-        "insert-vs-grow-cleanup",
+        "grow-waits-for-pin",
         "insert-vs-trim",
         "two-inserters-one-parent",
     ]
@@ -22,7 +22,7 @@ def test_scenario_registry():
         run_scenario("no-such-scenario")
 
 
-@pytest.mark.parametrize("name", ["insert-vs-trim", "insert-vs-grow-cleanup",
+@pytest.mark.parametrize("name", ["insert-vs-trim", "grow-waits-for-pin",
                                   "grow-vs-delete-residue",
                                   "two-inserters-one-parent"])
 def test_scenarios_pass_repeatedly(name):
