@@ -43,15 +43,16 @@ from __future__ import annotations
 from typing import Any, NamedTuple, Optional
 
 from .bitops import (
-    # unused here: an insert ORs its bit in under the node's mutex.  The
-    # per-layer tracer patches this name in this module, so it stays until
-    # the tracer learns the new shape (ROADMAP item 2).
+    # unused here: an insert ORs its bit in under the node's mutex, and the
+    # order queries find the nearest occupied child with inline masks.  The
+    # per-layer tracer patches these three names in this module, so they
+    # stay until the tracer learns the new shape (ROADMAP item 2).
     atomic_set_child,  # noqa: F401
+    max_child_below,  # noqa: F401
+    min_child_above,  # noqa: F401
     capacity,
     check_branching,
     child_mask,
-    max_child_below,
-    min_child_above,
     required_height,
 )
 from .rwlock import FairRWLock
@@ -116,26 +117,6 @@ class TreeParams:
         self.root = root
 
 
-class Trail:
-    """Nodes and child positions visited on the way toward a key.
-
-    ``nodes[k]``/``slots[k]`` describe level ``k``.  ``depth`` is the number
-    of levels fully traversed: ``depth == height`` means the key's entry was
-    reached and is stored in ``node``.  On an early stop, entry ``depth`` is
-    still recorded (the node whose summary bit was clear, or whose child slot
-    was empty; ``node`` is None in the latter case) so that resumable searches
-    have a defined frame at the stop level.
-    """
-
-    __slots__ = ("nodes", "slots", "depth", "node")
-
-    def __init__(self, nodes, slots, depth, node):
-        self.nodes = nodes
-        self.slots = slots
-        self.depth = depth
-        self.node = node
-
-
 class DcvebArray:
     """Concurrent dynamic set of integer-keyed entries with order queries.
 
@@ -178,10 +159,11 @@ class DcvebArray:
 
     # -- queries (lock-free) ----------------------------------------------
     #
-    # Each query is one descent that reads the published params and every
+    # Each query is one loop that reads the published params and every
     # node's word through the plain ``value`` attribute, counting the digit
-    # shift down to 0 at the bottom level.  The key check is inlined; only a
-    # bad key or an int subclass reaches ``_check_key``.
+    # shift down to 0 at the bottom level; ``successor`` and ``predecessor``
+    # re-read the params whenever they restart from the root.  The key check
+    # is inlined; only a bad key or an int subclass reaches ``_check_key``.
 
     def get(self, key: int) -> Optional[Entry]:
         if type(key) is not int or key < 0 or key >= self._key_limit:
@@ -206,24 +188,25 @@ class DcvebArray:
     def successor(self, key: int) -> Optional[Entry]:
         """Entry with the smallest key' >= key, or None.
 
-        Takes no locks.  One descent follows ``key``'s digits: an exact hit
-        returns the entry.  Otherwise, when the descent stops in a
-        bottom-level node, the word it already read names the first
-        occupied slot past ``key``'s, and a filled slot there is the answer.
-        Only when the stop node is higher up, shows nothing past ``key``, or
-        its candidate slot has just emptied does the search fall back to
-        ``_scan``, which resumes sideways from the stop point rather than
-        restarting from the root.  Either way an entry that stays present
-        for the whole call cannot be missed.
+        Takes no locks.  One loop descends along ``key``'s digits: an exact
+        hit returns the entry.  A node whose word shows an occupied child
+        past ``key``'s digit moves ``key`` sideways to that child's first key
+        and the descent goes on from the same node.  A node with nothing past
+        the digit moves ``key`` past its whole range, and the descent
+        restarts from the root under freshly read params.  ``key`` only moves
+        forward, and a range is skipped only when a word read during the
+        call showed it empty, so an entry that stays present for the whole
+        call cannot be missed.  Without concurrent writers each restart
+        stops at a strictly higher level: at most ``height`` restarts.
         """
         if type(key) is not int or key < 0 or key >= self._key_limit:
             self._check_key(key)
-        params = self._ap
-        if key >= params.size:
-            return None
         n = self._n
         shift = self._shift
         mask = self._mask
+        params = self._ap
+        if key >= params.size:
+            return None
         s = shift * (params.height - 1)
         node = params.root
         while True:
@@ -238,25 +221,37 @@ class DcvebArray:
                     node = child
                     s -= shift
                     continue
-            if s == 0:
-                # children past ``digit`` own the bits below ``bit``
-                above = word & (bit - 1)
-                if above:
-                    entry = node.children[n - above.bit_length()]
-                    if entry is not None:
-                        return entry
-            return self._scan(params, key, True)
+            # children past ``digit`` own the bits below ``bit``
+            above = word & (bit - 1)
+            if above:
+                key = ((key >> s) - digit + n - above.bit_length()) << s
+                continue
+            if self._hooks is not None:
+                self._hooks("query-restart")
+            s += shift
+            key = ((key >> s) + 1) << s
+            params = self._ap
+            if key >= params.size:
+                return None
+            s = shift * (params.height - 1)
+            node = params.root
 
     def predecessor(self, key: int) -> Optional[Entry]:
-        """Entry with the largest key' <= key, or None.  Mirror of successor."""
+        """Entry with the largest key' <= key, or None.
+
+        Mirror of successor: a sideways move takes ``key`` to the last key
+        of the nearest occupied child before its digit, and a restart takes
+        it to one below the empty node's first key.  Each restart re-clamps
+        ``key`` to the freshly read size.
+        """
         if type(key) is not int or key < 0 or key >= self._key_limit:
             self._check_key(key)
-        params = self._ap
-        if key >= params.size:
-            key = params.size - 1
         n = self._n
         shift = self._shift
         mask = self._mask
+        params = self._ap
+        if key >= params.size:
+            key = params.size - 1
         s = shift * (params.height - 1)
         node = params.root
         while True:
@@ -270,66 +265,28 @@ class DcvebArray:
                     node = child
                     s -= shift
                     continue
-            if s == 0:
-                # children before ``digit``, nearest first from bit 0 up
-                below = (word >> (n - digit)) & ((1 << digit) - 1)
-                if below:
-                    entry = node.children[digit - (below & -below).bit_length()]
-                    if entry is not None:
-                        return entry
-            return self._scan(params, key, False)
+            # children before ``digit``, nearest first from bit 0 up
+            below = (word >> (n - digit)) & ((1 << digit) - 1)
+            if below:
+                key = (((key >> s) - (below & -below).bit_length() + 1) << s) - 1
+                continue
+            if self._hooks is not None:
+                self._hooks("query-restart")
+            s += shift
+            key = ((key >> s) << s) - 1
+            if key < 0:
+                return None
+            params = self._ap
+            if key >= params.size:
+                key = params.size - 1
+            s = shift * (params.height - 1)
+            node = params.root
 
     def minimum(self) -> Optional[Entry]:
         return self.successor(0)
 
     def maximum(self) -> Optional[Entry]:
-        params = self._ap
-        return self._scan(params, params.size - 1, False)
-
-    def _scan(self, params: TreeParams, key: int, ascending: bool) -> Optional[Entry]:
-        n = self._n
-        root = params.root
-        if root.value == 0:
-            return None
-        h = params.height
-        trail = self._make_path(key, params)
-        if self._hooks is not None:
-            self._hooks("scan-path")
-        nodes = trail.nodes
-        slots = trail.slots
-        level = trail.depth
-        if level == h:
-            return trail.node
-        sideways = min_child_above if ascending else max_child_below
-        while True:
-            # climb until some sibling subtree remains on the search side
-            q = None
-            while level >= 0:
-                node = nodes[level]
-                q = sideways(node.value, slots[level], n)
-                if q is not None:
-                    break
-                level -= 1
-            if level < 0:
-                return None
-            # dive to the extreme entry of the chosen subtree
-            while True:
-                slots[level] = q
-                nodes[level] = node
-                child = node.children[q]
-                if child is None:
-                    # candidate vanished before we reached it: retry this
-                    # level strictly past q
-                    break
-                level += 1
-                if level == h:
-                    return child
-                q = sideways(child.value, None, n)
-                if q is None:
-                    # subtree emptied under us: resume at its parent level
-                    level -= 1
-                    break
-                node = child
+        return self.predecessor(self._key_limit - 1)
 
     # -- insert -----------------------------------------------------------
 
@@ -502,28 +459,6 @@ class DcvebArray:
                 ap_lock.release_read()
         self._trim_top()
 
-    def _make_path(self, key: int, params: TreeParams) -> Trail:
-        n = self._n
-        shift = self._shift
-        mask = self._mask
-        h = params.height
-        nodes = [None] * h
-        slots = [0] * h
-        node = params.root
-        level = 0
-        while level < h:
-            digit = (key >> (shift * (h - 1 - level))) & mask
-            nodes[level] = node
-            slots[level] = digit
-            if node.value & (1 << (n - 1 - digit)) == 0:
-                return Trail(nodes, slots, level, node)
-            child = node.children[digit]
-            if child is None:
-                return Trail(nodes, slots, level, None)
-            node = child
-            level += 1
-        return Trail(nodes, slots, h, node)
-
     def _clear_if_empty(self, node: Node, digit: int, child: Node) -> bool:
         """Unlink ``child`` from ``node``'s slot ``digit`` and clear the slot's
         bit if ``child`` still fills that slot and is empty, both re-checked
@@ -559,11 +494,12 @@ class DcvebArray:
 
         A delete that raced a root growth can only propagate up to the root
         it snapshotted, leaving levels above it claiming a subtree that is
-        now empty.  This pass starts from the currently published root and,
-        bottom-up under the same pair-lock discipline as deletion, unlinks
-        any child that is verifiably empty and clears its bit.  It never
-        clears a bit over a live entry: emptiness is re-checked while holding
-        both locks.
+        now empty.  This pass descends without locks from the currently
+        published root, keeping the nodes above the stop point as ``delete``
+        does, and stops at the first clear bit.  Then, bottom-up under the
+        same pair-lock discipline as deletion, it unlinks any child that is
+        verifiably empty and clears its bit.  It never clears a bit over a
+        live entry: emptiness is re-checked while holding both locks.
 
         ``delete`` runs it under the root guard's read lock, so no growth or
         trim publishes during the pass and one pass reaches every stacked
@@ -574,17 +510,32 @@ class DcvebArray:
         params = self._ap
         if key >= params.size:
             return
-        trail = self._make_path(key, params)
-        if trail.node is None or trail.depth == params.height:
-            # stopped on an empty slot under a set bit, or reached an entry:
-            # either anchors every level above
-            return
+        n = self._n
+        shift = self._shift
+        mask = self._mask
+        s = shift * (params.height - 1)
+        node = params.root
+        path = []  # the nodes above ``node``, root first
+        while True:
+            digit = (key >> s) & mask
+            if node.value & (1 << (n - 1 - digit)) == 0:
+                break
+            child = node.children[digit]
+            if child is None or s == 0:
+                # an empty slot under a set bit, or an entry: either
+                # anchors every level above
+                return
+            path.append(node)
+            node = child
+            s -= shift
         # stopped on a clear bit: that node may itself be an empty residue,
         # so begin at the edge above it
-        nodes = trail.nodes
-        for level in range(trail.depth - 1, -1, -1):
-            if not self._clear_if_empty(nodes[level], trail.slots[level], nodes[level + 1]):
+        clear = self._clear_if_empty
+        for parent in reversed(path):
+            s += shift
+            if not clear(parent, (key >> s) & mask, node):
                 return
+            node = parent
 
     def _trim_top(self) -> None:
         """Pop root levels while the root's only occupant is child 0.

@@ -4,6 +4,8 @@ import threading
 from enum import IntEnum
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dcveb.core import Capacity, DcvebArray, Entry, Node
 from dcveb.oracle import OracleMap
@@ -319,33 +321,7 @@ class TestOrderQueries:
         assert array.maximum() == Entry(130, "C")
 
 
-class TestPathResolution:
-    def test_empty_tree_stops_at_root(self):
-        array = make_array()
-        trail = array._make_path(0, array._params())
-        assert trail.depth == 0
-        assert trail.node is array._params().root
-
-    def test_full_path_to_present_key(self):
-        array = make_array()
-        array.insert(130, "C")
-        params = array._params()
-        trail = array._make_path(130, params)
-        assert trail.depth == params.height == 2
-        assert trail.slots == [2, 2]
-        assert trail.nodes[0] is params.root
-        # each recorded node was read from the previous one's claimed slot
-        assert trail.nodes[1] is params.root.children[2]
-        assert trail.node is trail.nodes[1].children[2]
-        assert trail.node == Entry(130, "C")
-
-    def test_adjacent_key_misses_at_leaf_level(self):
-        array = make_array()
-        array.insert(130, "C")
-        trail = array._make_path(131, array._params())
-        assert trail.depth == 1
-        assert trail.node is trail.nodes[1]  # stopped on its clear bit
-
+class TestResidueAndTrim:
     def test_residue_clean_is_idempotent_on_clean_tree(self):
         from dcveb.walker import structure_fingerprint
 
@@ -401,23 +377,22 @@ def test_sequential_equivalence_small(branching):
 
 @pytest.mark.parametrize("density", ["dense", "sparse"])
 @pytest.mark.parametrize("branching", [2, 4, 64])
-def test_query_fast_path_matches_oracle(branching, density, monkeypatch):
+def test_query_fast_path_matches_oracle(branching, density):
     # get/successor/predecessor against the oracle, call by call: on an empty
     # tree, filled, after one grow and the trim back, and drained again.
     # Probes cover random keys, each inserted key and its neighbours, and keys
     # at and above the capacity.  Both ways a non-exact answer is found must run:
-    # inside the node where the descent stopped, and through _scan.
-    scans = [0]
-    scan = DcvebArray._scan
+    # inside the node where the descent stopped, and after a restart from
+    # the root.
+    restarts = [0]
 
-    def counting_scan(self, *args):
-        scans[0] += 1
-        return scan(self, *args)
+    def hooks(point):
+        if point == "query-restart":
+            restarts[0] += 1
 
-    monkeypatch.setattr(DcvebArray, "_scan", counting_scan)
     key_bits = 20
     rng = random.Random(branching * 2 + (density == "dense"))
-    array = DcvebArray(branching=branching, key_bits=key_bits)
+    array = DcvebArray(branching=branching, key_bits=key_bits, hooks=hooks)
     table = OracleMap()
     keys = (rng.sample(range(1024), 512) if density == "dense"
             else rng.sample(range(1 << 16), 60))
@@ -435,10 +410,10 @@ def test_query_fast_path_matches_oracle(branching, density, monkeypatch):
                 continue
             assert array.get(key) == table.get(key), key
             for query in ("successor", "predecessor"):
-                before = scans[0]
+                before = restarts[0]
                 got = getattr(array, query)(key)
                 assert got == getattr(table, query)(key), (query, key)
-                if scans[0] == before and got is not None and got.key != key:
+                if restarts[0] == before and got is not None and got.key != key:
                     in_node += 1
 
     check()  # empty
@@ -464,7 +439,49 @@ def test_query_fast_path_matches_oracle(branching, density, monkeypatch):
         array.delete(key)
         table.delete(key)
     check()  # empty again
-    assert scans[0] > 0 and in_node > 0, (scans[0], in_node)
+    assert restarts[0] > 0 and in_node > 0, (restarts[0], in_node)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 4, 64]), st.integers(1, 40), st.data())
+def test_order_queries_match_oracle_within_height_restarts(branching, key_bits, data):
+    # Random inserts and deletes; after each one, successor and predecessor
+    # at random keys and around every present key, minimum and maximum must
+    # equal the oracle.  With no concurrent writer every restart stops at a
+    # strictly higher level, so one call restarts at most ``height`` times.
+    restarts = [0]
+
+    def hooks(point):
+        if point == "query-restart":
+            restarts[0] += 1
+
+    array = DcvebArray(branching=branching, key_bits=key_bits, hooks=hooks)
+    table = OracleMap()
+    top = (1 << key_bits) - 1
+    keys = st.one_of(st.integers(0, min(top, 63)), st.integers(0, top))
+
+    def check(query, *args):
+        height = array.capacity_snapshot().height
+        restarts[0] = 0
+        assert getattr(array, query)(*args) == getattr(table, query)(*args), (query, args)
+        assert restarts[0] <= height, (query, args, restarts[0], height)
+
+    for insert, key in data.draw(st.lists(st.tuples(st.booleans(), keys), max_size=30)):
+        if insert:
+            array.insert(key, key)
+            table.insert(key, key)
+        else:
+            array.delete(key)
+            table.delete(key)
+        probes = data.draw(st.lists(keys, max_size=3))
+        for entry in table.items():
+            probes += [entry.key - 1, entry.key, entry.key + 1]
+        for probe in probes:
+            if 0 <= probe <= top:
+                check("successor", probe)
+                check("predecessor", probe)
+        check("minimum")
+        check("maximum")
 
 
 def test_dense_fill_then_drain():

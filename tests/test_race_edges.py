@@ -25,32 +25,54 @@ def test_hook_points_fire_in_order():
     array.delete(71)  # absent: the descent stops before the path point
     assert points == ["delete-snapshot"]
     points.clear()
-    assert array.successor(3) == Entry(3, "keep")  # exact hit: no scan
-    assert array.successor(4) is None  # nothing past 3: the scan runs
-    assert points == ["scan-path"]
+    assert array.successor(3) == Entry(3, "keep")  # exact hit: no restart
+    assert array.successor(4) is None  # nothing past 3: one restart
+    assert points == ["query-restart"]
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the scan skips a slot "
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: a restart skips a slot "
                    "that an insert fills behind it")
 def test_scan_skip_returns_key_never_least():
-    # successor(0) pauses right after _scan resolves its path (the root's
-    # slot 0 is empty, so the descent stops above the bottom level).  Inside
-    # the pause insert(1) and then insert(6) complete.  The resumed scan
-    # climbs past slot 0 and returns 6, but no state that held 6 lacked 1:
-    # a linearizable answer is 15 (before insert(1)) or 1 (after it).
+    # successor(1) finds nothing past slot 1 in the bottom node holding 0
+    # and pauses at its restart.  Inside the pause insert(2) and then
+    # insert(6) complete.  The restart resumes past the node's range, at 4,
+    # and returns 6, but no state that held 6 lacked 2: a linearizable
+    # answer is 15 (before insert(2)) or 2 (after it).
     armed = [False]
 
     def hooks(point):
-        if point == "scan-path" and armed[0]:
+        if point == "query-restart" and armed[0]:
             armed[0] = False
-            array.insert(1, 1)
+            array.insert(2, 2)
             array.insert(6, 6)
 
     array = DcvebArray(branching=4, key_bits=4, hooks=hooks)
+    array.insert(0, 0)
     array.insert(15, 15)
     armed[0] = True
-    result = array.successor(0)
-    assert result in (Entry(15, 15), Entry(1, 1))
+    result = array.successor(1)
+    assert result in (Entry(15, 15), Entry(2, 2))
+
+
+def test_restart_sees_growth_made_inside_it():
+    # successor(1) finds nothing past slot 1 of the lone height-1 root and
+    # restarts.  Inside the restart insert(20) grows the tree to height 3.
+    # The restart reads the fresh params, so it finds 20 instead of stopping
+    # at the old capacity.
+    armed = [False]
+
+    def hooks(point):
+        if point == "query-restart" and armed[0]:
+            armed[0] = False
+            array.insert(20, 20)
+
+    array = DcvebArray(branching=4, key_bits=8, hooks=hooks)
+    array.insert(0, 0)
+    assert array.capacity_snapshot().height == 1
+    armed[0] = True
+    assert array.successor(1) == Entry(20, 20)
+    assert not armed[0]
+    assert array.capacity_snapshot().height == 3
 
 
 def _pause_once_at(point_name, in_window, resume):
