@@ -14,6 +14,9 @@ delete empties.
 Concurrency contract:
 
 * ``get``/``successor``/``predecessor``/``minimum``/``maximum`` take no locks.
+  Every writer sets a slot's bit before it fills the slot and empties the
+  slot before it clears the bit, so a filled slot always has its bit set:
+  queries read slots first, and a word only to move past an empty slot.
 * The published parameters (size, height, root) change only under the
   root guard's write lock plus the old root's write lock: a growth and a
   trim are the only publishers, and each stores the new parameters plainly.
@@ -77,6 +80,8 @@ class Node(FairRWLock):
     it holds an immutable :class:`Entry` whose key is the slot's path key.
     ``None`` marks an empty slot, and at quiescence a slot is occupied
     exactly when its summary bit is set.  ``bits`` is the initial summary.
+    Writers set a bit before they fill its slot and empty a slot before they
+    clear its bit, so a filled slot's bit is always set: queries read slots.
 
     The lock's ``_mutex`` is the node's only lock object.  Besides the
     rwlock bookkeeping it serializes an insert's bit OR and ``cas_child``;
@@ -107,14 +112,16 @@ class Node(FairRWLock):
 
 
 class TreeParams:
-    """Published tree shape: read-only once stored in ``DcvebArray._ap``."""
+    """Published tree shape: read-only once stored in ``DcvebArray._ap``.
+    ``top`` is the root level's digit shift, ``shift * (height - 1)``."""
 
-    __slots__ = ("size", "height", "root")
+    __slots__ = ("size", "height", "root", "top")
 
-    def __init__(self, size: int, height: int, root: Optional[Node]):
+    def __init__(self, size: int, height: int, root: Optional[Node], top: int):
         self.size = size
         self.height = height
         self.root = root
+        self.top = top
 
 
 class DcvebArray:
@@ -135,7 +142,7 @@ class DcvebArray:
         self._hooks = hooks
         self._ap_lock = FairRWLock()
         # stored only under the guard's write lock; read plainly
-        self._ap = TreeParams(branching, 1, Node(branching, 0))
+        self._ap = TreeParams(branching, 1, Node(branching, 0), 0)
 
     # -- introspection ---------------------------------------------------
 
@@ -159,11 +166,12 @@ class DcvebArray:
 
     # -- queries (lock-free) ----------------------------------------------
     #
-    # Each query is one loop that reads the published params and every
-    # node's word through the plain ``value`` attribute, counting the digit
-    # shift down to 0 at the bottom level; ``successor`` and ``predecessor``
-    # re-read the params whenever they restart from the root.  The key check
-    # is inlined; only a bad key or an int subclass reaches ``_check_key``.
+    # Each query is one loop that reads the published params and then child
+    # slots, counting the digit shift down to 0 at the bottom level.  A filled
+    # slot's bit is set, so only an empty slot sends ``successor`` and
+    # ``predecessor`` to the node's word, to move sideways; they re-read the
+    # params whenever they restart from the root.  The key check is inlined;
+    # only a bad key or an int subclass reaches ``_check_key``.
 
     def get(self, key: int) -> Optional[Entry]:
         if type(key) is not int or key < 0 or key >= self._key_limit:
@@ -171,33 +179,31 @@ class DcvebArray:
         params = self._ap
         if key >= params.size:
             return None
-        n = self._n
         shift = self._shift
         mask = self._mask
-        s = shift * (params.height - 1)
+        s = params.top
         node = params.root
-        while True:
-            digit = (key >> s) & mask
-            if node.value & (1 << (n - 1 - digit)) == 0:
+        while s:
+            node = node.children[(key >> s) & mask]
+            if node is None:
                 return None
-            node = node.children[digit]
-            if s == 0 or node is None:
-                return node  # at s == 0, the bottom-level slot's Entry
             s -= shift
+        return node.children[key & mask]
 
     def successor(self, key: int) -> Optional[Entry]:
         """Entry with the smallest key' >= key, or None.
 
-        Takes no locks.  One loop descends along ``key``'s digits: an exact
-        hit returns the entry.  A node whose word shows an occupied child
-        past ``key``'s digit moves ``key`` sideways to that child's first key
-        and the descent goes on from the same node.  A node with nothing past
-        the digit moves ``key`` past its whole range, and the descent
-        restarts from the root under freshly read params.  ``key`` only moves
-        forward, and a range is skipped only when a word read during the
-        call showed it empty, so an entry that stays present for the whole
-        call cannot be missed.  Without concurrent writers each restart
-        stops at a strictly higher level: at most ``height`` restarts.
+        Takes no locks.  One loop descends along ``key``'s filled slots: an
+        exact hit returns the entry.  At an empty slot, a node whose word
+        shows an occupied child past ``key``'s digit moves ``key`` sideways
+        to that child's first key (at the bottom level, a filled slot there
+        is the answer) and the descent goes on from the same node.  A node
+        with nothing past the digit moves ``key`` past its whole range, and
+        the descent restarts from the root under fresh params.  ``key`` only
+        moves forward, and a range is skipped only when a word read during
+        the call showed it empty, so an entry that stays present for the
+        whole call cannot be missed.  Without concurrent writers each
+        restart stops at a strictly higher level: at most ``height`` restarts.
         """
         if type(key) is not int or key < 0 or key >= self._key_limit:
             self._check_key(key)
@@ -207,24 +213,24 @@ class DcvebArray:
         params = self._ap
         if key >= params.size:
             return None
-        s = shift * (params.height - 1)
+        s = params.top
         node = params.root
         while True:
             digit = (key >> s) & mask
-            word = node.value
-            bit = 1 << (n - 1 - digit)
-            if word & bit:
-                child = node.children[digit]
-                if child is not None:
-                    if s == 0:
-                        return child
-                    node = child
-                    s -= shift
-                    continue
-            # children past ``digit`` own the bits below ``bit``
-            above = word & (bit - 1)
+            child = node.children[digit]
+            if child is not None:
+                if s == 0:
+                    return child
+                node = child
+                s -= shift
+                continue
+            # children past ``digit`` own the bits below its bit
+            above = node.value & ((1 << (n - 1 - digit)) - 1)
             if above:
-                key = ((key >> s) - digit + n - above.bit_length()) << s
+                q = n - above.bit_length()
+                if s == 0 and (child := node.children[q]) is not None:
+                    return child  # one read: a delete may empty the slot
+                key = ((key >> s) - digit + q) << s
                 continue
             if self._hooks is not None:
                 self._hooks("query-restart")
@@ -233,7 +239,7 @@ class DcvebArray:
             params = self._ap
             if key >= params.size:
                 return None
-            s = shift * (params.height - 1)
+            s = params.top
             node = params.root
 
     def predecessor(self, key: int) -> Optional[Entry]:
@@ -252,23 +258,24 @@ class DcvebArray:
         params = self._ap
         if key >= params.size:
             key = params.size - 1
-        s = shift * (params.height - 1)
+        s = params.top
         node = params.root
         while True:
             digit = (key >> s) & mask
-            word = node.value
-            if word & (1 << (n - 1 - digit)):
-                child = node.children[digit]
-                if child is not None:
-                    if s == 0:
-                        return child
-                    node = child
-                    s -= shift
-                    continue
+            child = node.children[digit]
+            if child is not None:
+                if s == 0:
+                    return child
+                node = child
+                s -= shift
+                continue
             # children before ``digit``, nearest first from bit 0 up
-            below = (word >> (n - digit)) & ((1 << digit) - 1)
+            below = (node.value >> (n - digit)) & ((1 << digit) - 1)
             if below:
-                key = (((key >> s) - (below & -below).bit_length() + 1) << s) - 1
+                q = digit - (below & -below).bit_length()
+                if s == 0 and (child := node.children[q]) is not None:
+                    return child  # one read: a delete may empty the slot
+                key = (((key >> s) - digit + q + 1) << s) - 1
                 continue
             if self._hooks is not None:
                 self._hooks("query-restart")
@@ -279,7 +286,7 @@ class DcvebArray:
             params = self._ap
             if key >= params.size:
                 key = params.size - 1
-            s = shift * (params.height - 1)
+            s = params.top
             node = params.root
 
     def minimum(self) -> Optional[Entry]:
@@ -301,7 +308,7 @@ class DcvebArray:
             n = self._n
             shift = self._shift
             mask = self._mask
-            s = shift * (params.height - 1)
+            s = params.top
             while True:
                 digit = (key >> s) & mask
                 bit = 1 << (n - 1 - digit)
@@ -381,7 +388,8 @@ class DcvebArray:
                         root = top
                 if self._hooks is not None:
                     self._hooks("grow-pre-publish")
-                self._ap = TreeParams(capacity(height, n), height, root)
+                self._ap = TreeParams(capacity(height, n), height, root,
+                                      self._shift * (height - 1))
             finally:
                 old.release_write()
         finally:
@@ -412,7 +420,7 @@ class DcvebArray:
         n = self._n
         shift = self._shift
         mask = self._mask
-        s = shift * (params.height - 1)
+        s = params.top
         node = params.root
         path = []  # the nodes above the bottom level, root first
         while True:
@@ -513,7 +521,7 @@ class DcvebArray:
         n = self._n
         shift = self._shift
         mask = self._mask
-        s = shift * (params.height - 1)
+        s = params.top
         node = params.root
         path = []  # the nodes above ``node``, root first
         while True:
@@ -567,7 +575,8 @@ class DcvebArray:
                     if lonely is None:
                         return
                     self._ap = TreeParams(
-                        capacity(params.height - 1, n), params.height - 1, lonely
+                        capacity(params.height - 1, n), params.height - 1, lonely,
+                        params.top - self._shift,
                     )
             finally:
                 root.release_write()

@@ -1,13 +1,13 @@
 """Quiescent structural verification.
 
-With no operations in flight, a full recursive walk of the tree must find
-every occupancy bit telling the truth (set implies a non-empty child subtree,
-clear implies an empty slot: deletes unlink every node they empty), nodes in
-every slot above the bottom level and entries in every bottom-level slot,
-each entry's key equal to its path key, and the set of live entries
-identical to what chained successor calls enumerate.  The walker also checks
-the closed-form bound on how many internal nodes a tree of the current height
-may retain.
+With no operations in flight, the published root shift must match the
+height, and a full recursive walk of the tree must find every occupancy bit
+telling the truth (set implies a non-empty child subtree, clear implies an
+empty slot: deletes unlink every node they empty), nodes in every slot above
+the bottom level and entries in every bottom-level slot, each entry's key
+equal to its path key, and the set of live entries identical to what chained
+successor calls enumerate.  The walker also checks the closed-form bound on
+how many internal nodes a tree of the current height may retain.
 """
 
 from __future__ import annotations
@@ -43,6 +43,8 @@ def quiescent_walk(array) -> WalkReport:
         report.violations.append(("", "height-floor", params.height))
     if params.size != n**params.height:
         report.violations.append(("", "size-capacity-mismatch", params.size))
+    if params.top != array._shift * (params.height - 1):
+        report.violations.append(("", "top-shift-mismatch", params.top))
     entries: list = []
     _walk(params.root, 0, params.height, n, 0, "", report, entries)
     bound = (n**params.height - 1) // (n - 1)

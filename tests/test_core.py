@@ -321,6 +321,72 @@ class TestOrderQueries:
         assert array.maximum() == Entry(130, "C")
 
 
+def test_detached_nodes_stay_empty_and_stale_params_read_the_kept_child():
+    array = DcvebArray(branching=4, key_bits=8)
+    array.insert(0, 0)
+    array.insert(37, 37)  # grows to height 3; digits (2, 1, 1)
+    stale = array._params()
+    upper = stale.root.children[2]
+    lower = upper.children[1]
+    array.delete(37)  # unlinks lower and upper, then trims to height 1
+    assert array.capacity_snapshot() == Capacity(4, 1)
+    for key in (37, 36, 38, 33, 1):  # the same key, its neighbours, the kept child
+        array.insert(key, key)
+    for node in (upper, lower):
+        assert node.value == 0
+        assert node.children == [None] * 4
+    assert stale.root.children[2] is None
+    live = array._params()
+    array._ap = stale  # walk get from the params published before the trim
+    try:
+        for key in (37, 36, 38, 33):
+            assert array.get(key) is None
+        assert array.get(0) == Entry(0, 0)
+        assert array.get(1) == Entry(1, 1)
+    finally:
+        array._ap = live
+    assert array.get(37) == Entry(37, 37)
+    assert quiescent_walk(array).ok()
+
+
+class _NoBitOps:
+    """A summary word that fails on any bit operation."""
+
+    def _fail(self, *args):
+        raise AssertionError("a query read a summary word")
+
+    __and__ = __rand__ = __or__ = __ror__ = __xor__ = __rxor__ = _fail
+    __lshift__ = __rshift__ = __invert__ = __bool__ = __index__ = _fail
+
+
+@pytest.mark.parametrize("branching", [4, 64])
+def test_queries_on_filled_slots_read_no_summary_word(branching):
+    rng = random.Random(branching)
+    array = DcvebArray(branching=branching, key_bits=16)
+    present = rng.sample(range(1 << 16), 300)
+    for key in present:
+        array.insert(key, key)
+    absent = set(rng.sample(range(1 << 16), 300)) - set(present)
+    words = []
+    pending = [array._params().root]
+    while pending:
+        node = pending.pop()
+        words.append((node, node.value))
+        node.value = _NoBitOps()
+        pending.extend(c for c in node.children if isinstance(c, Node))
+    try:
+        for key in present:
+            assert array.get(key) == Entry(key, key)
+            assert array.successor(key) == Entry(key, key)
+            assert array.predecessor(key) == Entry(key, key)
+        for key in absent:
+            assert array.get(key) is None
+    finally:
+        for node, word in words:
+            node.value = word
+    assert quiescent_walk(array).ok()
+
+
 class TestResidueAndTrim:
     def test_residue_clean_is_idempotent_on_clean_tree(self):
         from dcveb.walker import structure_fingerprint

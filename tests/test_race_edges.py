@@ -1,11 +1,13 @@
 """Targeted interleavings for the delete/rebuild edge cases, driven through
 the test hooks, plus the hook surface itself."""
 
+import random
+import sys
 import threading
 
 import pytest
 
-from dcveb.core import DcvebArray, Entry
+from dcveb.core import DcvebArray, Entry, Node
 from dcveb.walker import quiescent_walk
 
 
@@ -317,4 +319,106 @@ def test_raising_hook_leaks_no_lock(point):
     array.insert(5000, "grow")
     assert array.get(5000) == Entry(5000, "grow")
     assert array.get(3) == Entry(3, "keep")
+    assert quiescent_walk(array).ok()
+
+
+def test_filled_slot_never_has_a_clear_bit_under_churn():
+    # The lock-free queries trust a filled slot without reading its bit.
+    # Two writers churn keys through growths, residue passes and trims while
+    # a checker walks the tree from the published root, holding at most one
+    # node's write lock at a time: under that lock no filled slot may have a
+    # clear bit.  Between locked sweeps it makes unlocked ones, reading each
+    # slot, the word and the slot again.  A slot is never refilled with an
+    # object it held before, so a slot that held one object across the word
+    # read had its bit set.  The unlocked sweeps catch an insert that fills
+    # an interior slot before it sets the bit; the locked one cannot, since
+    # that insert holds the node's read lock across both stores.
+    counts = {}
+    residue = []
+    stop = threading.Event()
+    bad = []
+    sweeps = [0]
+
+    def hooks(point):
+        counts[point] = counts.get(point, 0) + 1
+
+    array = DcvebArray(branching=4, key_bits=12, hooks=hooks)
+    clean_residue = array._clean_residue
+
+    def counting_clean_residue(key):
+        residue.append(key)
+        clean_residue(key)
+
+    array._clean_residue = counting_clean_residue
+
+    def writer(seed):
+        rng = random.Random(seed)
+        while not stop.is_set():
+            low = rng.randrange(16)
+            array.insert(low, low)
+            array.delete(rng.randrange(16))
+            high = rng.randrange(64, 1 << 12)
+            array.insert(high, high)  # grows past height 3
+            array.delete(high)  # trims back unless the other writer is high
+
+    def locked_check(node):
+        node.acquire_write()
+        try:
+            word = node.value
+            for p, child in enumerate(node.children):
+                if child is not None and not word & (1 << (3 - p)):
+                    bad.append(("locked", p, word))
+        finally:
+            node.release_write()
+
+    def unlocked_check(node):
+        children = node.children
+        for p in range(4):
+            first = children[p]
+            word = node.value
+            if (first is not None and children[p] is first
+                    and not word & (1 << (3 - p))):
+                bad.append(("unlocked", p, word))
+
+    def sweep(check):
+        pending = [array._params().root]
+        while pending:
+            node = pending.pop()
+            check(node)
+            pending.extend(c for c in node.children if isinstance(c, Node))
+
+    def checker():
+        while not stop.is_set():
+            sweep(locked_check)
+            for _ in range(5):
+                sweep(unlocked_check)
+            sweeps[0] += 1
+
+    def guarded(target, *args):
+        try:
+            target(*args)
+        except BaseException as exc:  # noqa: BLE001 - asserted on below
+            bad.append(("raised", repr(exc)))
+            stop.set()
+
+    threads = [threading.Thread(target=guarded, args=(writer, seed), daemon=True)
+               for seed in (1, 2)]
+    threads.append(threading.Thread(target=guarded, args=(checker,), daemon=True))
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        stop.wait(3.0)
+    finally:
+        stop.set()
+        for thread in threads:
+            thread.join(10)
+        sys.setswitchinterval(old_interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert bad == []
+    assert sweeps[0] > 0
+    assert counts.get("grow-pre-publish", 0) > 0
+    assert counts.get("trim-pre-publish", 0) > 0
+    assert residue
     assert quiescent_walk(array).ok()

@@ -2,7 +2,7 @@ import random
 
 
 from dcveb.bitops import child_mask
-from dcveb.core import DcvebArray, Entry, Node
+from dcveb.core import DcvebArray, Entry, Node, TreeParams
 from dcveb.walker import quiescent_walk, structure_fingerprint
 
 
@@ -131,3 +131,15 @@ def test_queries_leave_structure_untouched():
     array.minimum()
     array.maximum()
     assert structure_fingerprint(array) == before
+
+
+def test_detects_top_shift_mismatch():
+    array = DcvebArray(branching=4, key_bits=8)
+    array.insert(20, "x")  # height 3: the root digit sits at shift 4
+    params = array._params()
+    assert params.top == 4
+    array._ap = TreeParams(params.size, params.height, params.root, 2)
+    report = quiescent_walk(array)
+    assert ("", "top-shift-mismatch", 2) in report.violations
+    array._ap = params
+    assert quiescent_walk(array).ok()
