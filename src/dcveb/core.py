@@ -1,10 +1,10 @@
 """Concurrent ordered map over integer keys.
 
-The structure is a fixed-fanout tree of nodes; each node is itself a fair
-readers-writer lock, holds an occupancy summary word and carries an array of
-child slots.  The slots of the bottom level hold immutable
-``Entry(key, value)`` objects instead of nodes.  A key's path through the
-tree is its base-n digit expansion, so lookups touch one node per digit.
+The structure is a fixed-fanout tree of nodes; each node holds one mutex, an
+occupancy summary word, a ``retired`` mark and an array of child slots.  The
+slots of the bottom level hold immutable ``Entry(key, value)`` objects
+instead of nodes.  A key's path through the tree is its base-n digit
+expansion, so lookups touch one node per digit.
 The tree grows at the top by stacking new root levels above the old root
 when a key exceeds the current capacity, and trims root levels back off when
 only the leftmost subtree remains.  At the bottom it grows by installing
@@ -17,24 +17,29 @@ Concurrency contract:
   Every writer sets a slot's bit before it fills the slot and empties the
   slot before it clears the bit, so a filled slot always has its bit set:
   queries read slots first, and a word only to move past an empty slot.
+* Every write to a node (its word, its slots, its ``retired`` mark) happens
+  under the node's mutex, and a writer checks ``retired`` first.  A node is
+  retired under its mutex at the moment it leaves the tree: when a delete's
+  walk or a residue pass unlinks it, when a growth drops an empty old root,
+  and when a trim pops the old root.  So a node found unretired under its
+  mutex is reachable from the root published at that moment.
 * The published parameters (size, height, root) change only under the
-  root guard's write lock plus the old root's write lock: a growth and a
-  trim are the only publishers, and each stores the new parameters plainly.
-* ``insert`` briefly read-locks the published-root guard, then read-locks one
-  node per level hand over hand; many inserts proceed in parallel.  Under a
-  node's read lock it sets a clear bit with one OR under the node's mutex,
-  and it publishes its entry by one slot store under the parent's read lock.
-  A key beyond the current capacity makes it take the guard exclusively to
+  root guard's write lock plus the old root's mutex: a growth and a trim
+  are the only publishers, and each stores the new parameters plainly.
+* ``insert`` holds the root guard's read lock for the whole call, so its
+  snapshotted root stays published.  It descends without locks, installs a
+  missing child with ``Node.cas_child`` and stores its entry under the
+  bottom node's mutex; a retired node sends it back to the same root.  A
+  key beyond the current capacity makes it take the guard exclusively to
   grow the tree first, while it holds no other lock.
 * ``delete`` descends once without locks, empties the entry's slot under the
-  parent's write lock, then write-locks (parent, child) node pairs
-  bottom-up, one pair at a time, unlinking each child it finds empty.  It
-  takes the root guard shared only for one residue pass when the
-  parameters moved under it, and exclusively only while trimming.  Under a
-  node's write lock it stores the word plainly: every other writer of that
-  word holds the node's read lock (an insert's OR) or its write lock.
-* All locks are fair; the guard is always taken before any node lock, and
-  no operation ever holds more than two node locks.
+  bottom node's mutex, then walks up one (parent, child) pair at a time,
+  locking each pair top-down, unlinking each child it finds empty and
+  stopping at a retired parent.  It takes the root guard shared only for
+  one residue pass when the parameters moved under it, and exclusively
+  only while trimming.
+* The guard is always taken before any node mutex, an insert holds at most
+  one node mutex, and no operation holds more than two.
 
 Nodes detached from the tree stay readable by threads that still hold
 references (reclamation is deferred to the garbage collector), which is what
@@ -43,6 +48,7 @@ lets the query paths run unlocked.
 
 from __future__ import annotations
 
+import threading
 from typing import Any, NamedTuple, Optional
 
 from .bitops import (
@@ -71,10 +77,9 @@ class Capacity(NamedTuple):
     height: int
 
 
-class Node(FairRWLock):
-    """One tree node: a fair readers-writer lock (the inherited
-    ``acquire_read``/``release_read``/``acquire_write``/``release_write``)
-    with an occupancy summary word ``value`` and ``n`` child slots.
+class Node:
+    """One tree node: a mutex ``_mutex``, an occupancy summary word
+    ``value``, ``n`` child slots and a ``retired`` mark.
 
     Above the bottom level a slot holds a child ``Node``; at the bottom level
     it holds an immutable :class:`Entry` whose key is the slot's path key.
@@ -83,29 +88,35 @@ class Node(FairRWLock):
     Writers set a bit before they fill its slot and empty a slot before they
     clear its bit, so a filled slot's bit is always set: queries read slots.
 
-    The lock's ``_mutex`` is the node's only lock object.  Besides the
-    rwlock bookkeeping it serializes an insert's bit OR and ``cas_child``;
-    each holder takes it briefly and never nests it.  Readers load ``value``
-    plainly.  It is written by an OR under ``_mutex`` while holding the
-    node's read lock, or by a plain store while holding its write lock.
+    ``_mutex`` is the node's only lock object.  Every write to the node is
+    made under it, and only while ``retired`` is False; ``retired`` is set,
+    also under it, when the node leaves the tree, and never cleared.  A
+    holder never takes another node's mutex except a child's, top-down.
+    Readers load ``value`` and ``children`` plainly.
     """
 
-    __slots__ = ("value", "children")
+    __slots__ = ("value", "children", "_mutex", "retired")
 
     def __init__(self, n: int, bits: int):
-        FairRWLock.__init__(self)
         self.value = bits
         self.children = [None] * n
+        self._mutex = threading.Lock()
+        self.retired = False
 
-    def cas_child(self, pos: int, candidate: "Node") -> "Node":
-        """Install ``candidate`` at ``pos`` if the slot is empty.
+    def cas_child(self, pos: int, candidate: "Node") -> Optional["Node"]:
+        """Install ``candidate`` at ``pos`` if the slot is empty, setting its
+        bit first.
 
         Returns the slot's occupant, i.e. ``candidate`` on success or the
-        node a racing inserter installed first.
+        node a racing inserter installed first, or None when this node is
+        retired.
         """
         with self._mutex:
+            if self.retired:
+                return None
             current = self.children[pos]
             if current is None:
+                self.value |= 1 << (len(self.children) - 1 - pos)
                 self.children[pos] = candidate
                 return candidate
             return current
@@ -298,51 +309,22 @@ class DcvebArray:
     # -- insert -----------------------------------------------------------
 
     def insert(self, key: int, value: Any) -> None:
+        """Store ``value`` under ``key``, overwriting any entry there.
+
+        The root guard's read lock spans the whole call, and every publish
+        takes the guard's write lock, so the root snapshotted here stays the
+        published one: it is never retired under this call.  The descent
+        reads slots without locks.  It installs a missing child with
+        ``cas_child`` and stores the entry, bit first, under the bottom
+        node's mutex.  A node found retired under its mutex has left the
+        tree, so the descent restarts from the same root; an unretired one
+        is still reachable from it.  A key beyond the capacity releases the
+        guard and grows the tree first, while this thread holds no lock.
+        """
         if type(key) is not int or key < 0 or key >= self._key_limit:
             self._check_key(key)
         if value is None:
             raise ValueError("value must not be None (None marks vacant slots)")
-        params = self._pin_root(key)
-        node = params.root  # the one node whose read lock this call holds
-        try:
-            n = self._n
-            shift = self._shift
-            mask = self._mask
-            s = params.top
-            while True:
-                digit = (key >> s) & mask
-                bit = 1 << (n - 1 - digit)
-                if node.value & bit == 0:
-                    # concurrent inserts into this node hold its read lock
-                    # too, so the read-modify-write needs the mutex
-                    with node._mutex:
-                        node.value |= bit
-                if s == 0:
-                    # one reference store publishes the entry, so a reader
-                    # sees either the old occupant or the whole new entry
-                    node.children[digit] = Entry(key, value)
-                    break
-                child = node.children[digit]
-                if child is None:
-                    child = node.cas_child(digit, Node(n, 0))
-                child.acquire_read()
-                node.release_read()
-                node = child
-                s -= shift
-        finally:
-            node.release_read()
-
-    def _pin_root(self, key: int) -> TreeParams:
-        """Snapshot the published parameters and read-lock their root,
-        growing the tree first while ``key`` does not fit.
-
-        The root guard's read lock spans both steps, and every publish takes
-        the guard's write lock, so the root is still published once it is
-        locked.  From then on, unlinking or detaching the root needs its
-        write lock, which waits for this insert's bit.  A growth takes the
-        guard exclusively, so it runs after the read lock is released, while
-        this thread holds no lock at all.
-        """
         ap_lock = self._ap_lock
         while True:
             ap_lock.acquire_read()
@@ -351,8 +333,31 @@ class DcvebArray:
                 if self._hooks is not None:
                     self._hooks("insert-snapshot")
                 if key < params.size:
-                    params.root.acquire_read()
-                    return params
+                    n = self._n
+                    shift = self._shift
+                    mask = self._mask
+                    entry = Entry(key, value)
+                    while True:  # one pass per descent from the root
+                        s = params.top
+                        node = params.root
+                        while s:
+                            digit = (key >> s) & mask
+                            child = node.children[digit]
+                            if child is None:
+                                child = node.cas_child(digit, Node(n, 0))
+                                if child is None:
+                                    break  # ``node`` was retired: restart
+                            node = child
+                            s -= shift
+                        else:
+                            digit = key & mask
+                            with node._mutex:
+                                if not node.retired:
+                                    # bit before slot; one reference store
+                                    # publishes the whole entry
+                                    node.value |= 1 << (n - 1 - digit)
+                                    node.children[digit] = entry
+                                    return
             finally:
                 ap_lock.release_read()
             self._grow(key)
@@ -360,12 +365,12 @@ class DcvebArray:
     def _grow(self, key: int) -> None:
         """Publish a tree tall enough for ``key``, unless one already is.
 
-        Runs under the root guard's write lock plus the old root's write
-        lock, so no insert is inside the old root and no delete can clear
-        its word.  A non-empty old root becomes child 0 of a chain of new
-        levels; the old tree is not reorganized.  An empty old root is
-        dropped for one fresh empty root instead, so growth never leaves an
-        all-zeros spine behind.
+        Runs under the root guard's write lock, so no insert is running, and
+        the old root's mutex, so no delete can clear its word meanwhile.  A
+        non-empty old root becomes child 0 of a chain of new levels; the old
+        tree is not reorganized.  An empty old root is dropped (retired) for
+        one fresh empty root instead, so growth never leaves an all-zeros
+        spine behind.
         """
         ap_lock = self._ap_lock
         ap_lock.acquire_write()
@@ -374,11 +379,11 @@ class DcvebArray:
             if key < params.size:
                 return  # another insert grew the tree first
             old = params.root
-            old.acquire_write()
-            try:
+            with old._mutex:
                 n = self._n
                 height = required_height(key, n)
-                if old.value == 0:
+                dropped = old.value == 0
+                if dropped:
                     root = Node(n, 0)
                 else:
                     root = old
@@ -390,8 +395,8 @@ class DcvebArray:
                     self._hooks("grow-pre-publish")
                 self._ap = TreeParams(capacity(height, n), height, root,
                                       self._shift * (height - 1))
-            finally:
-                old.release_write()
+                if dropped:
+                    old.retired = True  # it leaves the tree with this store
         finally:
             ap_lock.release_write()
 
@@ -401,13 +406,14 @@ class DcvebArray:
         """Remove ``key``'s entry, if present.
 
         One lock-free descent finds the bottom-level node.  Its slot is then
-        re-read under that node's write lock: an empty slot means the key
-        was absent at that moment (another delete got there first, or the
-        branch was emptied since the descent), so the call linearizes there
-        and touches nothing more.  Any entry found is removed, whether or
-        not it is the one the descent saw: ``insert`` overwrites in place,
-        so the key stayed present throughout.  The walk up then unlinks
-        every node the delete emptied, one (parent, child) pair at a time.
+        re-read under that node's mutex: a retired node or an empty slot
+        means the key was absent at some moment since the descent saw it
+        (another delete got there first, or the branch was emptied), so the
+        call linearizes there and touches nothing more.  Any entry found is
+        removed, whether or not it is the one the descent saw: ``insert``
+        overwrites in place, so the key stayed present throughout.  The walk
+        up then unlinks every node the delete emptied, one (parent, child)
+        pair at a time.
         """
         if type(key) is not int or key < 0 or key >= self._key_limit:
             self._check_key(key)
@@ -438,15 +444,12 @@ class DcvebArray:
             s -= shift
         if hooks is not None:
             hooks("delete-path")
-        node.acquire_write()
-        try:
-            if node.children[digit] is None:
+        with node._mutex:
+            if node.retired or node.children[digit] is None:
                 return
             node.children[digit] = None
             word = node.value & ~bit
             node.value = word
-        finally:
-            node.release_write()
         if word == 0:
             clear = self._clear_if_empty
             for parent in reversed(path):
@@ -468,22 +471,24 @@ class DcvebArray:
         self._trim_top()
 
     def _clear_if_empty(self, node: Node, digit: int, child: Node) -> bool:
-        """Unlink ``child`` from ``node``'s slot ``digit`` and clear the slot's
-        bit if ``child`` still fills that slot and is empty, both re-checked
-        under the pair's write locks.
+        """Unlink ``child`` from ``node``'s slot ``digit``, clear the slot's
+        bit and retire ``child`` if ``child`` still fills that slot and is
+        empty, all re-checked under the pair's mutexes.
 
-        The pair is locked top-down, so lock order follows tree levels and
-        never deadlocks against descending inserts.  No inserter can be
-        between ``node`` and ``child`` while both write locks are held, so an
-        emptied child leaves the tree for good; a later insert under the same
-        digit installs a fresh node.  Returns True when ``node`` itself
-        became empty: only then may the level above need clearing too.
+        The pair is locked top-down, so lock order follows tree levels.  An
+        insert that reaches ``child`` later finds it retired under its mutex
+        and restarts, so an emptied child leaves the tree for good; a later
+        insert under the same digit installs a fresh node.  A retired
+        ``node`` has left the tree itself (a trimmed old root still holds the
+        published root in slot 0), so nothing is unlinked from it.  Returns
+        True when ``node`` itself became empty: only then may the level above
+        need clearing too.
         """
         bit = 1 << (self._n - 1 - digit)
-        node.acquire_write()
-        try:
-            child.acquire_write()
-            try:
+        with node._mutex:
+            if node.retired:
+                return False
+            with child._mutex:
                 word = node.value
                 if (node.children[digit] is not child or child.value != 0
                         or word & bit == 0):
@@ -491,11 +496,8 @@ class DcvebArray:
                 node.children[digit] = None
                 word &= ~bit
                 node.value = word
+                child.retired = True
                 return word == 0
-            finally:
-                child.release_write()
-        finally:
-            node.release_write()
 
     def _clean_residue(self, key: int) -> None:
         """Re-verify the current path toward ``key`` and strip stale bits.
@@ -507,13 +509,13 @@ class DcvebArray:
         does, and stops at the first clear bit.  Then, bottom-up under the
         same pair-lock discipline as deletion, it unlinks any child that is
         verifiably empty and clears its bit.  It never clears a bit over a
-        live entry: emptiness is re-checked while holding both locks.
+        live entry: emptiness is re-checked while holding both mutexes.
 
         ``delete`` runs it under the root guard's read lock, so no growth or
         trim publishes during the pass and one pass reaches every stacked
         level.  A growth after the delete's walk finds the emptied old root
-        under its write lock and does not adopt it, so no residue can
-        appear behind the pass.
+        under its mutex and does not adopt it, so no residue can appear
+        behind the pass.
         """
         params = self._ap
         if key >= params.size:
@@ -549,8 +551,9 @@ class DcvebArray:
         """Pop root levels while the root's only occupant is child 0.
 
         One level per iteration; the publish is re-validated and performed
-        under the root guard plus the old root's write lock, which is what
-        keeps a concurrent insert from landing in a detached top.
+        under the root guard, which keeps every insert out, plus the old
+        root's mutex, under which the popped root is retired.  A delete
+        walking up from below then stops at it.
         """
         n = self._n
         only_zero = child_mask(0, n)
@@ -566,18 +569,16 @@ class DcvebArray:
                 hooks("trim-pre-publish")
             root = params.root
             ap_lock.acquire_write()
-            root.acquire_write()
             try:
-                if self._ap is params and root.value == only_zero:
-                    # fetch the lonely child under the locks: its slot may
-                    # have been emptied and refilled since the summary was read
-                    lonely = root.children[0]
-                    if lonely is None:
-                        return
-                    self._ap = TreeParams(
-                        capacity(params.height - 1, n), params.height - 1, lonely,
-                        params.top - self._shift,
-                    )
+                with root._mutex:
+                    if self._ap is params and root.value == only_zero:
+                        # fetch the lonely child under the mutex: its slot
+                        # may have been emptied and refilled since the word
+                        # was read
+                        self._ap = TreeParams(
+                            capacity(params.height - 1, n), params.height - 1,
+                            root.children[0], params.top - self._shift,
+                        )
+                        root.retired = True
             finally:
-                root.release_write()
                 ap_lock.release_write()

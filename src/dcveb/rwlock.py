@@ -1,15 +1,18 @@
-"""Fair readers-writer lock.
+"""Fair readers-writer lock: the tree's published-parameters guard.
 
-Admission is FIFO by arrival group: consecutive readers are batched into one
-group and admitted together; a writer forms its own group.  A reader arriving
-while any group is queued (i.e. a writer is waiting) queues behind it, so
-neither side can starve the other.  This starvation freedom is a progress
-requirement for the tree operations built on top, not an optimization.
+Inserts and delete residue passes hold it shared; growths and trims hold it
+exclusively to publish.  Admission is FIFO by arrival group: consecutive
+readers are batched into one group and admitted together; a writer forms its
+own group.  A reader arriving while any group is queued (i.e. a writer is
+waiting) queues behind it, so neither side can starve the other.  This
+starvation freedom is a progress requirement for the tree operations built
+on top, not an optimization: a stream of inserts cannot hold a growth or a
+trim off for ever.
 
 Waiting groups park on their own Event, so an admission wakes exactly the
 admitted group, and the uncontended paths cost one plain mutex acquisition.
-The queue list itself is created by the first waiter: most locks (one per
-tree node) are never contended and never need one.
+The queue list itself is created by the first waiter, so a lock that is
+never contended never allocates one.
 """
 
 from __future__ import annotations

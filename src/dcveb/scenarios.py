@@ -1,14 +1,15 @@
 """Scripted race reproductions and stress workloads.
 
 The scripted scenarios drive two threads through the exact interleavings the
-design has to survive: an insert caught between snapshotting the published
-parameters and locking the root while a trim tries to pop that root, or
-while a growth waits to stack levels above it, and a delete whose tree
-grows underneath it mid-flight, leaving stale occupancy bits for its
-guarded residue pass.  Test hooks compiled into the array (no-ops by
-default) provide the pause points.  The stress workloads run on the
-benchmark's thread driver (``bench.run_workload``) and share its failure
-policy.
+design has to survive: an insert holding the root guard shared while a trim
+tries to pop its root, or while a growth waits to stack levels above it; an
+insert about to store into a bottom node that a delete empties and unlinks,
+so the insert finds it retired and restarts; and a delete whose tree grows
+underneath it mid-flight, leaving stale occupancy bits for its guarded
+residue pass.  Test hooks compiled into the array (no-ops by default) and
+:class:`RunOnEnter` stand-ins for a node's mutex provide the pause points.
+The stress workloads run on the benchmark's thread driver
+(``bench.run_workload``) and share its failure policy.
 """
 
 from __future__ import annotations
@@ -60,11 +61,32 @@ def _run_pair(a, b) -> list[str]:
     return [repr(exc) for exc in errors]
 
 
+class RunOnEnter:
+    """Stand-in for a node's mutex that runs ``action`` once, on the first
+    ``with`` entry (an insert's ``cas_child`` or entry store, or a delete's
+    slot clear), before taking the real lock."""
+
+    def __init__(self, lock, action):
+        self._lock = lock
+        self._action = action
+        self.locked = lock.locked
+
+    def __enter__(self):
+        action, self._action = self._action, None
+        if action is not None:
+            action()
+        return self._lock.__enter__()
+
+    def __exit__(self, *exc):
+        return self._lock.__exit__(*exc)
+
+
 def _insert_vs_trim() -> list[str]:
     """An insert snapshots the parameters, then a delete empties everything
-    outside child 0 and tries to trim the root.  The guard lock must hold the
-    trim off until the insert has pinned the root, and the trim's re-check
-    must then see the insert's bit and abort."""
+    outside child 0 and tries to trim the root.  The insert holds the guard's
+    read lock for its whole call, so the trim waits until the insert has
+    stored its entry, and the trim's re-check must then see the insert's bit
+    and abort."""
     in_window = threading.Event()
     armed = [False]
 
@@ -104,8 +126,8 @@ def _insert_vs_trim() -> list[str]:
 def _grow_waits_for_pin() -> list[str]:
     """An insert snapshots the parameters of an empty tree, then another
     insert needs a taller tree.  The growth must wait for the root guard
-    until the first insert has pinned the root and set its bit, and then
-    adopt that root as child 0 rather than drop it as empty."""
+    until the first insert has stored its entry in the root, and then adopt
+    that root as child 0 rather than drop it as empty."""
     in_window = threading.Event()
     armed = [False]
 
@@ -134,6 +156,47 @@ def _grow_waits_for_pin() -> list[str]:
             problems.append("insert lost: get(%d) = %r" % (key, entry))
     if array._params().root.children[0] is not original_root:
         problems.append("growth did not adopt the pinned root")
+    report = quiescent_walk(array)
+    if report.violations:
+        problems.append("walk violations: %r" % (report.violations,))
+    return problems
+
+
+def _insert_vs_unlink() -> list[str]:
+    """An insert descends to a bottom node and parks before taking its
+    mutex; a delete then removes that node's only entry, which empties it,
+    unlinks it and retires it.  The resumed insert must find the node
+    retired, restart from the root and land in a freshly installed node."""
+    in_window = threading.Event()
+    resume = threading.Event()
+    array = DcvebArray(branching=64)
+    array.insert(130, "evict")  # height 2; the bottom node is root child 2
+    stale = array._params().root.children[2]
+
+    def park():
+        in_window.set()
+        resume.wait(5)
+
+    stale._mutex = RunOnEnter(stale._mutex, park)
+
+    def inserter():
+        array.insert(131, "landed")
+
+    def deleter():
+        in_window.wait(5)
+        try:
+            array.delete(130)
+        finally:
+            resume.set()
+
+    problems = _run_pair(inserter, deleter)
+    entry = array.get(131)
+    if entry is None or entry.value != "landed":
+        problems.append("insert lost: get(131) = %r" % (entry,))
+    if array.get(130) is not None:
+        problems.append("delete ineffective")
+    if not stale.retired or array._params().root.children[2] is stale:
+        problems.append("emptied bottom node was not unlinked and retired")
     report = quiescent_walk(array)
     if report.violations:
         problems.append("walk violations: %r" % (report.violations,))
@@ -217,6 +280,7 @@ def _two_inserters_one_parent() -> list[str]:
 _SCENARIOS = {
     "insert-vs-trim": _insert_vs_trim,
     "grow-waits-for-pin": _grow_waits_for_pin,
+    "insert-vs-unlink": _insert_vs_unlink,
     "grow-vs-delete-residue": _grow_vs_delete_residue,
     "two-inserters-one-parent": _two_inserters_one_parent,
 }

@@ -5,8 +5,9 @@ height, and a full recursive walk of the tree must find every occupancy bit
 telling the truth (set implies a non-empty child subtree, clear implies an
 empty slot: deletes unlink every node they empty), nodes in every slot above
 the bottom level and entries in every bottom-level slot, each entry's key
-equal to its path key, and the set of live entries identical to what chained
-successor calls enumerate.  The walker also checks the closed-form bound on
+equal to its path key, no reachable node retired or holding its mutex, and
+the set of live entries identical to what chained successor calls
+enumerate.  The walker also checks the closed-form bound on
 how many internal nodes a tree of the current height may retain.
 """
 
@@ -68,6 +69,10 @@ def quiescent_walk(array) -> WalkReport:
 def _walk(node, level, height, n, key_prefix, path, report, entries) -> int:
     """Recursive invariant check; returns the subtree's live entry count."""
     report.internal_node_count += 1
+    if node.retired:
+        report.violations.append((path, "retired-reachable", level))
+    if node._mutex.locked():
+        report.violations.append((path, "mutex-held", level))
     summary = node.value
     if summary >> n:
         report.violations.append((path, "summary-high-bits", summary))

@@ -8,7 +8,8 @@ import threading
 import pytest
 
 from dcveb.core import DcvebArray, Entry, Node
-from dcveb.walker import quiescent_walk
+from dcveb.scenarios import RunOnEnter
+from dcveb.walker import quiescent_walk, structure_fingerprint
 
 
 def test_hook_points_fire_in_order():
@@ -136,9 +137,9 @@ def _run_once_at(point_name, action):
 def test_stale_trail_delete_aborts_without_touching_rebuild():
     # delete(130) pauses after its descent found the bottom-level node.  In
     # the pause the branch is emptied (its nodes unlinked) and rebuilt.  The
-    # stale node's slot is empty under its write lock, so the delete aborts
-    # and leaves the rebuilt entry alone; it linearizes between the other
-    # delete and the re-insert.
+    # stale node is retired under its mutex, so the delete aborts and leaves
+    # the rebuilt entry alone; it linearizes between the other delete and
+    # the re-insert.
     def rebuild():
         array.delete(130)   # empties the branch: the parent is unlinked
         array.insert(130, "new")
@@ -151,7 +152,7 @@ def test_stale_trail_delete_aborts_without_touching_rebuild():
     points.clear()
     array.delete(130)
     assert array._params().root.children[2] is not stale
-    # the inner delete cleared; the outer one stopped at its write lock
+    # the inner delete cleared; the outer one stopped at the node's mutex
     assert points.count("delete-cleared") == 1
     assert array.get(130) == Entry(130, "new")
     assert quiescent_walk(array).ok()
@@ -203,8 +204,8 @@ def _assert_growth_waited_and_adopted(array, original_root, growers):
 def test_insert_survives_growth_cleanup_of_its_root():
     # insert(1) pauses after snapshotting the parameters of the empty
     # fanout-4 tree, holding the root guard's read lock.  The growth started
-    # from the pause waits for the guard until insert(1) has pinned the root
-    # and set its bit; it then adopts that root instead of dropping it as
+    # from the pause waits for the guard until insert(1) has stored its
+    # entry and returned; it then adopts that root instead of dropping it as
     # empty.
     growers = []
     hooks, armed, _ = _run_once_at("insert-snapshot",
@@ -216,36 +217,17 @@ def test_insert_survives_growth_cleanup_of_its_root():
     _assert_growth_waited_and_adopted(array, original_root, growers)
 
 
-class _RunOnEnter:
-    """Stand-in for a node's mutex that runs ``action`` once, on the first
-    ``with`` entry (an insert's bit OR), before taking the real lock."""
-
-    def __init__(self, lock, action):
-        self._lock = lock
-        self._action = action
-        self.acquire = lock.acquire
-        self.release = lock.release
-
-    def __enter__(self):
-        action, self._action = self._action, None
-        if action is not None:
-            action()
-        return self._lock.__enter__()
-
-    def __exit__(self, *exc):
-        return self._lock.__exit__(*exc)
-
-
 def test_growth_waits_for_pinned_insert_to_set_its_bit():
-    # insert(1) has read-locked the empty root and released the guard, but
-    # not yet set its bit.  A growth started there gets the guard and must
-    # then wait for the old root's write lock: judging the root empty before
-    # the bit lands would drop it with the insert inside.
+    # insert(1) has descended to the empty root, holding the guard's read
+    # lock, and is about to take the root's mutex to set its bit and store
+    # its entry.  A growth started there must wait for the guard until the
+    # insert returns: judging the root empty before the bit lands would drop
+    # it with the insert inside.
     array = DcvebArray(branching=4, key_bits=4)
     original_root = array._params().root
     growers = []
-    original_root._mutex = _RunOnEnter(original_root._mutex,
-                                       lambda: _start_grower(array, growers))
+    original_root._mutex = RunOnEnter(original_root._mutex,
+                                      lambda: _start_grower(array, growers))
     array.insert(1, 1)
     _assert_growth_waited_and_adopted(array, original_root, growers)
 
@@ -293,11 +275,13 @@ def test_walker_flags_summary_high_bits():
     assert any(v[1] == "summary-high-bits" for v in report.violations)
 
 
-@pytest.mark.parametrize("point", ["insert-snapshot", "grow-pre-publish"])
-def test_raising_hook_leaks_no_lock(point):
-    # A hook that raises inside insert's lock-held regions must not leave the
-    # root guard or a node lock held: the delete below needs the parent and
-    # root write locks and then the guard's write lock to trim.
+@pytest.mark.parametrize("point", ["insert-snapshot", "grow-pre-publish",
+                                   "delete-path", "delete-cleared",
+                                   "trim-pre-publish"])
+def test_raising_hook_leaks_no_lock(point, assert_no_lock_held):
+    # A hook that raises inside a write path must not leave the root guard
+    # or a node mutex held: the writes below need the node mutexes on 70's
+    # path, the guard's write lock to trim and then to grow.
     armed = [False]
 
     def hooks(name):
@@ -310,15 +294,103 @@ def test_raising_hook_leaks_no_lock(point):
     array.insert(70, "drop")  # height 2; root children {0, 1}
     armed[0] = True
     with pytest.raises(RuntimeError):
-        array.insert(5000, "grow")  # needs height 3
-    deleter = threading.Thread(target=array.delete, args=(70,), daemon=True)
-    deleter.start()
-    deleter.join(10)
-    assert not deleter.is_alive(), "delete blocked on a leaked lock"
+        if point.startswith(("insert", "grow")):
+            array.insert(5000, "grow")  # needs height 3
+        else:
+            array.delete(70)
+    assert not armed[0]
+    assert_no_lock_held(array)
+
+    def churn():
+        array.insert(70, "drop")  # back, if the raising delete removed it
+        array.delete(70)  # leaves only child 0: trims to height 1
+
+    writer = threading.Thread(target=churn, daemon=True)
+    writer.start()
+    writer.join(10)
+    assert not writer.is_alive(), "writer blocked on a leaked lock"
     assert array.capacity_snapshot().height == 1
     array.insert(5000, "grow")
     assert array.get(5000) == Entry(5000, "grow")
     assert array.get(3) == Entry(3, "keep")
+    assert array.get(70) is None
+    assert quiescent_walk(array).ok()
+    assert_no_lock_held(array)
+
+
+def test_insert_restarts_when_its_bottom_node_is_unlinked():
+    # insert(131) descends to the node holding 130 and, before it takes that
+    # node's mutex, delete(130) empties the node, unlinks it and retires it.
+    # The insert finds the node retired under its mutex and restarts from
+    # the root, which installs a fresh node for the entry.
+    array = DcvebArray(branching=64)
+    array.insert(130, "evict")
+    stale = array._params().root.children[2]
+    stale._mutex = RunOnEnter(stale._mutex, lambda: array.delete(130))
+    array.insert(131, "landed")
+    assert stale.retired
+    assert stale.children[3] is None
+    fresh = array._params().root.children[2]
+    assert fresh is not stale and not fresh.retired
+    assert array.get(131) == Entry(131, "landed")
+    assert array.get(130) is None
+    assert quiescent_walk(array).ok()
+
+
+def test_delete_of_a_retired_bottom_node_removes_nothing_else():
+    # delete(130) pauses after its descent.  In the pause an inner delete
+    # empties and retires the bottom node, and 130 returns under a fresh
+    # node.  The outer delete finds its node retired and returns: the
+    # structure is exactly as the pause left it.
+    seen = {}
+
+    def rebuild():
+        seen["stale"] = array._params().root.children[2]
+        array.delete(130)
+        array.insert(130, "new")
+        seen["after"] = structure_fingerprint(array)
+
+    hooks, armed, points = _run_once_at("delete-path", rebuild)
+    array = DcvebArray(branching=64, hooks=hooks)
+    for key in (5, 130, 4000):
+        array.insert(key, key)
+    armed[0] = True
+    points.clear()
+    array.delete(130)
+    assert seen["stale"].retired
+    assert points.count("delete-cleared") == 1  # the inner delete's only
+    assert structure_fingerprint(array) == seen["after"]
+    assert array.get(130) == Entry(130, "new")
+    assert quiescent_walk(array).ok()
+
+
+def test_delete_walk_stops_at_a_trimmed_root():
+    # delete(3) pauses after its descent through the height-2 root R to the
+    # bottom node A.  In the pause delete(70) empties root child 1, so the
+    # trim pops R, publishes A as the root and retires R, which still holds
+    # A in slot 0.  The resumed delete empties A and walks up to R: R is
+    # retired, so it stops there and the published root A stays in use.
+    def evict():
+        array.delete(70)
+        assert array._params().root is bottom
+
+    hooks, armed, _ = _run_once_at("delete-path", evict)
+    array = DcvebArray(branching=64, hooks=hooks)
+    array.insert(3, "drop")
+    array.insert(70, "evict")
+    old_root = array._params().root
+    bottom = old_root.children[0]
+    armed[0] = True
+    array.delete(3)
+    assert old_root.retired
+    assert old_root.children[0] is bottom
+    assert array._params().root is bottom and not bottom.retired
+    writer = threading.Thread(target=array.insert, args=(5, "new"), daemon=True)
+    writer.start()
+    writer.join(10)
+    assert not writer.is_alive(), "insert spun on a retired root"
+    assert array.get(5) == Entry(5, "new")
+    assert array.get(3) is None
     assert quiescent_walk(array).ok()
 
 
@@ -326,13 +398,13 @@ def test_filled_slot_never_has_a_clear_bit_under_churn():
     # The lock-free queries trust a filled slot without reading its bit.
     # Two writers churn keys through growths, residue passes and trims while
     # a checker walks the tree from the published root, holding at most one
-    # node's write lock at a time: under that lock no filled slot may have a
-    # clear bit.  Between locked sweeps it makes unlocked ones, reading each
-    # slot, the word and the slot again.  A slot is never refilled with an
-    # object it held before, so a slot that held one object across the word
-    # read had its bit set.  The unlocked sweeps catch an insert that fills
-    # an interior slot before it sets the bit; the locked one cannot, since
-    # that insert holds the node's read lock across both stores.
+    # node's mutex at a time: under it no filled slot may have a clear bit.
+    # Between locked sweeps it makes unlocked ones, reading each slot, the
+    # word and the slot again.  A slot is never refilled with an object it
+    # held before, so a slot that held one object across the word read had
+    # its bit set.  The unlocked sweeps catch a writer that fills a slot
+    # before it sets the bit; the locked one cannot, since every writer
+    # holds the node's mutex across both stores.
     counts = {}
     residue = []
     stop = threading.Event()
@@ -362,14 +434,11 @@ def test_filled_slot_never_has_a_clear_bit_under_churn():
             array.delete(high)  # trims back unless the other writer is high
 
     def locked_check(node):
-        node.acquire_write()
-        try:
+        with node._mutex:
             word = node.value
             for p, child in enumerate(node.children):
                 if child is not None and not word & (1 << (3 - p)):
                     bad.append(("locked", p, word))
-        finally:
-            node.release_write()
 
     def unlocked_check(node):
         children = node.children

@@ -16,6 +16,7 @@ def test_scenario_registry():
         "grow-vs-delete-residue",
         "grow-waits-for-pin",
         "insert-vs-trim",
+        "insert-vs-unlink",
         "two-inserters-one-parent",
     ]
     with pytest.raises(ValueError):
@@ -23,7 +24,7 @@ def test_scenario_registry():
 
 
 @pytest.mark.parametrize("name", ["insert-vs-trim", "grow-waits-for-pin",
-                                  "grow-vs-delete-residue",
+                                  "insert-vs-unlink", "grow-vs-delete-residue",
                                   "two-inserters-one-parent"])
 def test_scenarios_pass_repeatedly(name):
     report = run_scenario(name, iterations=25)

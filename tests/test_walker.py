@@ -143,3 +143,21 @@ def test_detects_top_shift_mismatch():
     assert ("", "top-shift-mismatch", 2) in report.violations
     array._ap = params
     assert quiescent_walk(array).ok()
+
+
+def test_detects_reachable_retired_node():
+    array = DcvebArray()
+    array.insert(130, "C")
+    array._params().root.children[2].retired = True
+    report = quiescent_walk(array)
+    assert report.violations == [("/2", "retired-reachable", 1)]
+
+
+def test_detects_held_node_mutex():
+    array = DcvebArray()
+    array.insert(130, "C")
+    root = array._params().root
+    with root._mutex:
+        report = quiescent_walk(array)
+    assert report.violations == [("", "mutex-held", 0)]
+    assert quiescent_walk(array).ok()
