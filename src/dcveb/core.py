@@ -4,7 +4,9 @@ The structure is a fixed-fanout tree of nodes; each node holds one mutex, an
 occupancy summary word, a ``retired`` mark and an array of child slots.  The
 slots of the bottom level hold immutable ``Entry(key, value)`` objects
 instead of nodes.  A key's path through the tree is its base-n digit
-expansion, so lookups touch one node per digit.
+expansion, and a dict indexes every bottom-level node by its key prefix, so
+``get`` touches one node and order queries start their descent at the
+bottom.
 The tree grows at the top by stacking new root levels above the old root
 when a key exceeds the current capacity, and trims root levels back off when
 only the leftmost subtree remains.  At the bottom it grows by installing
@@ -17,6 +19,16 @@ Concurrency contract:
   Every writer sets a slot's bit before it fills the slot and empties the
   slot before it clears the bit, so a filled slot always has its bit set:
   queries read slots first, and a word only to move past an empty slot.
+* ``_bottoms`` maps each prefix ``key >> shift`` to the bottom-level node
+  that covers it.  ``insert`` writes the item under the bottom node's mutex,
+  after the ``retired`` check and before the bit and entry stores; the item
+  is removed in the critical section that unlinks that node (a delete's walk
+  or a residue pass) or drops it (a growth over an empty height-1 root).  So
+  a node holding an entry is always indexed, and an indexed node that has
+  since been retired is empty for good: a query that reads it answers
+  "absent", which held at the moment of the unlink.  ``get`` is one index
+  probe and one slot read; ``successor`` and ``predecessor`` start at the
+  indexed node, or at the root when the prefix has none.
 * Every write to a node (its word, its slots, its ``retired`` mark) happens
   under the node's mutex, and a writer checks ``retired`` first.  A node is
   retired under its mutex at the moment it leaves the tree: when a delete's
@@ -152,8 +164,11 @@ class DcvebArray:
         self._key_limit = 1 << key_bits
         self._hooks = hooks
         self._ap_lock = FairRWLock()
+        root = Node(branching, 0)
+        # prefix -> bottom-level node; written as the module docstring says
+        self._bottoms = {0: root}
         # stored only under the guard's write lock; read plainly
-        self._ap = TreeParams(branching, 1, Node(branching, 0), 0)
+        self._ap = TreeParams(branching, 1, root, 0)
 
     # -- introspection ---------------------------------------------------
 
@@ -177,55 +192,54 @@ class DcvebArray:
 
     # -- queries (lock-free) ----------------------------------------------
     #
-    # Each query is one loop that reads the published params and then child
-    # slots, counting the digit shift down to 0 at the bottom level.  A filled
-    # slot's bit is set, so only an empty slot sends ``successor`` and
-    # ``predecessor`` to the node's word, to move sideways; they re-read the
-    # params whenever they restart from the root.  The key check is inlined;
-    # only a bad key or an int subclass reaches ``_check_key``.
+    # ``get`` reads the key's bottom node from ``_bottoms`` and one slot.
+    # ``successor`` and ``predecessor`` are one loop over child slots that
+    # starts at that node (digit shift 0), or at the root of the published
+    # params when the prefix has none, and counts the shift down to 0 at the
+    # bottom level.  A filled slot's bit is set, so only an empty slot sends
+    # them to the node's word, to move sideways; they re-read the params
+    # whenever they restart from the root.  The key check is inlined; only a
+    # bad key or an int subclass reaches ``_check_key``.
 
     def get(self, key: int) -> Optional[Entry]:
         if type(key) is not int or key < 0 or key >= self._key_limit:
             self._check_key(key)
-        params = self._ap
-        if key >= params.size:
+        node = self._bottoms.get(key >> self._shift)
+        if node is None:
             return None
-        shift = self._shift
-        mask = self._mask
-        s = params.top
-        node = params.root
-        while s:
-            node = node.children[(key >> s) & mask]
-            if node is None:
-                return None
-            s -= shift
-        return node.children[key & mask]
+        return node.children[key & self._mask]
 
     def successor(self, key: int) -> Optional[Entry]:
         """Entry with the smallest key' >= key, or None.
 
-        Takes no locks.  One loop descends along ``key``'s filled slots: an
-        exact hit returns the entry.  At an empty slot, a node whose word
-        shows an occupied child past ``key``'s digit moves ``key`` sideways
-        to that child's first key (at the bottom level, a filled slot there
-        is the answer) and the descent goes on from the same node.  A node
-        with nothing past the digit moves ``key`` past its whole range, and
-        the descent restarts from the root under fresh params.  ``key`` only
-        moves forward, and a range is skipped only when a word read during
-        the call showed it empty, so an entry that stays present for the
-        whole call cannot be missed.  Without concurrent writers each
-        restart stops at a strictly higher level: at most ``height`` restarts.
+        Takes no locks.  One loop starts at ``key``'s indexed bottom node, or
+        at the root when there is none, and descends along ``key``'s filled
+        slots: an exact hit returns the entry.  At an empty slot, a node
+        whose word shows an occupied child past ``key``'s digit moves ``key``
+        sideways to that child's first key (at the bottom level, a filled
+        slot there is the answer) and the descent goes on from the same
+        node.  A node with nothing past the digit moves ``key`` past its
+        whole range, and the descent restarts from the root under fresh
+        params.  ``key`` only moves forward, and a range is skipped only when
+        a word read during the call showed it empty, so an entry that stays
+        present for the whole call cannot be missed.  Without concurrent
+        writers each restart stops at a strictly higher level: at most
+        ``height`` restarts.
         """
         if type(key) is not int or key < 0 or key >= self._key_limit:
             self._check_key(key)
         n = self._n
         shift = self._shift
         mask = self._mask
-        params = self._ap
-        if key >= params.size:
-            return None
-        s = params.top
-        node = params.root
+        node = self._bottoms.get(key >> shift)
+        if node is not None:
+            s = 0
+        else:
+            params = self._ap
+            if key >= params.size:
+                return None
+            s = params.top
+            node = params.root
         while True:
             digit = (key >> s) & mask
             child = node.children[digit]
@@ -266,11 +280,15 @@ class DcvebArray:
         n = self._n
         shift = self._shift
         mask = self._mask
-        params = self._ap
-        if key >= params.size:
-            key = params.size - 1
-        s = params.top
-        node = params.root
+        node = self._bottoms.get(key >> shift)
+        if node is not None:
+            s = 0
+        else:
+            params = self._ap
+            if key >= params.size:
+                key = params.size - 1
+            s = params.top
+            node = params.root
         while True:
             digit = (key >> s) & mask
             child = node.children[digit]
@@ -281,7 +299,7 @@ class DcvebArray:
                 s -= shift
                 continue
             # children before ``digit``, nearest first from bit 0 up
-            below = (node.value >> (n - digit)) & ((1 << digit) - 1)
+            below = node.value >> (n - digit)
             if below:
                 q = digit - (below & -below).bit_length()
                 if s == 0 and (child := node.children[q]) is not None:
@@ -315,11 +333,12 @@ class DcvebArray:
         takes the guard's write lock, so the root snapshotted here stays the
         published one: it is never retired under this call.  The descent
         reads slots without locks.  It installs a missing child with
-        ``cas_child`` and stores the entry, bit first, under the bottom
-        node's mutex.  A node found retired under its mutex has left the
-        tree, so the descent restarts from the same root; an unretired one
-        is still reachable from it.  A key beyond the capacity releases the
-        guard and grows the tree first, while this thread holds no lock.
+        ``cas_child`` and, under the bottom node's mutex, indexes that node
+        and stores the entry, bit first.  A node found retired under its
+        mutex has left the tree, so the descent restarts from the same root;
+        an unretired one is still reachable from it.  A key beyond the
+        capacity releases the guard and grows the tree first, while this
+        thread holds no lock.
         """
         if type(key) is not int or key < 0 or key >= self._key_limit:
             self._check_key(key)
@@ -353,8 +372,9 @@ class DcvebArray:
                             digit = key & mask
                             with node._mutex:
                                 if not node.retired:
-                                    # bit before slot; one reference store
-                                    # publishes the whole entry
+                                    # index, then bit, then slot; one
+                                    # reference store publishes the entry
+                                    self._bottoms[key >> shift] = node
                                     node.value |= 1 << (n - 1 - digit)
                                     node.children[digit] = entry
                                     return
@@ -370,7 +390,7 @@ class DcvebArray:
         non-empty old root becomes child 0 of a chain of new levels; the old
         tree is not reorganized.  An empty old root is dropped (retired) for
         one fresh empty root instead, so growth never leaves an all-zeros
-        spine behind.
+        spine behind; a dropped height-1 root also leaves ``_bottoms``.
         """
         ap_lock = self._ap_lock
         ap_lock.acquire_write()
@@ -397,6 +417,8 @@ class DcvebArray:
                                       self._shift * (height - 1))
                 if dropped:
                     old.retired = True  # it leaves the tree with this store
+                    if self._bottoms.get(0) is old:
+                        del self._bottoms[0]
         finally:
             ap_lock.release_write()
 
@@ -454,7 +476,7 @@ class DcvebArray:
             clear = self._clear_if_empty
             for parent in reversed(path):
                 s += shift
-                if not clear(parent, (key >> s) & mask, node):
+                if not clear(parent, key, s, node):
                     break
                 node = parent
         if hooks is not None:
@@ -470,10 +492,12 @@ class DcvebArray:
                 ap_lock.release_read()
         self._trim_top()
 
-    def _clear_if_empty(self, node: Node, digit: int, child: Node) -> bool:
-        """Unlink ``child`` from ``node``'s slot ``digit``, clear the slot's
-        bit and retire ``child`` if ``child`` still fills that slot and is
-        empty, all re-checked under the pair's mutexes.
+    def _clear_if_empty(self, node: Node, key: int, s: int, child: Node) -> bool:
+        """Unlink ``child`` from ``node``'s slot for ``key`` (``node``'s digit
+        shift is ``s``), clear the slot's bit and retire ``child`` if
+        ``child`` still fills that slot and is empty, all re-checked under
+        the pair's mutexes.  A bottom-level ``child`` (``s == shift``) also
+        leaves ``_bottoms`` if it is the item there.
 
         The pair is locked top-down, so lock order follows tree levels.  An
         insert that reaches ``child`` later finds it retired under its mutex
@@ -484,6 +508,7 @@ class DcvebArray:
         True when ``node`` itself became empty: only then may the level above
         need clearing too.
         """
+        digit = (key >> s) & self._mask
         bit = 1 << (self._n - 1 - digit)
         with node._mutex:
             if node.retired:
@@ -497,6 +522,10 @@ class DcvebArray:
                 word &= ~bit
                 node.value = word
                 child.retired = True
+                if s == self._shift:
+                    bottoms = self._bottoms
+                    if bottoms.get(key >> s) is child:
+                        del bottoms[key >> s]
                 return word == 0
 
     def _clean_residue(self, key: int) -> None:
@@ -543,7 +572,7 @@ class DcvebArray:
         clear = self._clear_if_empty
         for parent in reversed(path):
             s += shift
-            if not clear(parent, (key >> s) & mask, node):
+            if not clear(parent, key, s, node):
                 return
             node = parent
 

@@ -166,7 +166,8 @@ def _insert_vs_unlink() -> list[str]:
     """An insert descends to a bottom node and parks before taking its
     mutex; a delete then removes that node's only entry, which empties it,
     unlinks it and retires it.  The resumed insert must find the node
-    retired, restart from the root and land in a freshly installed node."""
+    retired, restart from the root, land in a freshly installed node and
+    index that node, not the retired one, under its prefix."""
     in_window = threading.Event()
     resume = threading.Event()
     array = DcvebArray(branching=64)
@@ -197,6 +198,9 @@ def _insert_vs_unlink() -> list[str]:
         problems.append("delete ineffective")
     if not stale.retired or array._params().root.children[2] is stale:
         problems.append("emptied bottom node was not unlinked and retired")
+    indexed = array._bottoms.get(2)
+    if indexed is stale or indexed is not array._params().root.children[2]:
+        problems.append("bottom index holds %r, not the fresh node" % (indexed,))
     report = quiescent_walk(array)
     if report.violations:
         problems.append("walk violations: %r" % (report.violations,))

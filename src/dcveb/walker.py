@@ -5,9 +5,10 @@ height, and a full recursive walk of the tree must find every occupancy bit
 telling the truth (set implies a non-empty child subtree, clear implies an
 empty slot: deletes unlink every node they empty), nodes in every slot above
 the bottom level and entries in every bottom-level slot, each entry's key
-equal to its path key, no reachable node retired or holding its mutex, and
-the set of live entries identical to what chained successor calls
-enumerate.  The walker also checks the closed-form bound on
+equal to its path key, no reachable node retired or holding its mutex, the
+bottom-node index holding exactly the reachable bottom-level nodes, each
+under its key prefix, and the set of live entries identical to what chained
+successor calls enumerate.  The walker also checks the closed-form bound on
 how many internal nodes a tree of the current height may retain.
 """
 
@@ -47,7 +48,12 @@ def quiescent_walk(array) -> WalkReport:
     if params.top != array._shift * (params.height - 1):
         report.violations.append(("", "top-shift-mismatch", params.top))
     entries: list = []
-    _walk(params.root, 0, params.height, n, 0, "", report, entries)
+    bottoms: dict = {}
+    _walk(params.root, 0, params.height, n, 0, "", report, entries, bottoms)
+    indexed = array._bottoms
+    for prefix in sorted(bottoms.keys() | indexed.keys()):
+        if indexed.get(prefix) is not bottoms.get(prefix):
+            report.violations.append(("", "bottom-index-mismatch", prefix))
     bound = (n**params.height - 1) // (n - 1)
     if report.internal_node_count > bound:
         report.violations.append(
@@ -66,8 +72,9 @@ def quiescent_walk(array) -> WalkReport:
     return report
 
 
-def _walk(node, level, height, n, key_prefix, path, report, entries) -> int:
-    """Recursive invariant check; returns the subtree's live entry count."""
+def _walk(node, level, height, n, key_prefix, path, report, entries, bottoms) -> int:
+    """Recursive invariant check; returns the subtree's live entry count.
+    Bottom-level nodes are collected into ``bottoms`` by key prefix."""
     report.internal_node_count += 1
     if node.retired:
         report.violations.append((path, "retired-reachable", level))
@@ -77,6 +84,8 @@ def _walk(node, level, height, n, key_prefix, path, report, entries) -> int:
     if summary >> n:
         report.violations.append((path, "summary-high-bits", summary))
     bottom = level + 1 == height
+    if bottom:
+        bottoms[key_prefix] = node
     children = node.children
     total = 0
     for p in range(n):
@@ -96,7 +105,8 @@ def _walk(node, level, height, n, key_prefix, path, report, entries) -> int:
                 entries.append((key, child.value))
                 count = 1
             else:
-                count = _walk(child, level + 1, height, n, key, where, report, entries)
+                count = _walk(child, level + 1, height, n, key, where, report,
+                              entries, bottoms)
         if summary & (1 << (n - 1 - p)):
             if child is None:
                 report.violations.append((path, "bit-set-child-missing", p))

@@ -321,31 +321,30 @@ class TestOrderQueries:
         assert array.maximum() == Entry(130, "C")
 
 
-def test_detached_nodes_stay_empty_and_stale_params_read_the_kept_child():
+def test_detached_nodes_stay_empty_and_leave_the_bottom_index():
     array = DcvebArray(branching=4, key_bits=8)
     array.insert(0, 0)
     array.insert(37, 37)  # grows to height 3; digits (2, 1, 1)
     stale = array._params()
     upper = stale.root.children[2]
     lower = upper.children[1]
+    assert array._bottoms[37 >> 2] is lower
     array.delete(37)  # unlinks lower and upper, then trims to height 1
     assert array.capacity_snapshot() == Capacity(4, 1)
+    for node in (upper, lower):
+        assert all(indexed is not node for indexed in array._bottoms.values())
+    for key in (37, 36, 38, 33):
+        assert array.get(key) is None
+    assert array.get(0) == Entry(0, 0)
     for key in (37, 36, 38, 33, 1):  # the same key, its neighbours, the kept child
         array.insert(key, key)
     for node in (upper, lower):
         assert node.value == 0
         assert node.children == [None] * 4
     assert stale.root.children[2] is None
-    live = array._params()
-    array._ap = stale  # walk get from the params published before the trim
-    try:
-        for key in (37, 36, 38, 33):
-            assert array.get(key) is None
-        assert array.get(0) == Entry(0, 0)
-        assert array.get(1) == Entry(1, 1)
-    finally:
-        array._ap = live
+    assert array._bottoms[37 >> 2] is not lower
     assert array.get(37) == Entry(37, 37)
+    assert array.get(1) == Entry(1, 1)
     assert quiescent_walk(array).ok()
 
 
@@ -513,8 +512,10 @@ def test_query_fast_path_matches_oracle(branching, density):
 def test_order_queries_match_oracle_within_height_restarts(branching, key_bits, data):
     # Random inserts and deletes; after each one, successor and predecessor
     # at random keys and around every present key, minimum and maximum must
-    # equal the oracle.  With no concurrent writer every restart stops at a
-    # strictly higher level, so one call restarts at most ``height`` times.
+    # equal the oracle, and the walker (bottom-node index included) must find
+    # the tree clean through every grow, trim and unlink.  With no concurrent
+    # writer every restart stops at a strictly higher level, so one call
+    # restarts at most ``height`` times.
     restarts = [0]
 
     def hooks(point):
@@ -539,11 +540,14 @@ def test_order_queries_match_oracle_within_height_restarts(branching, key_bits, 
         else:
             array.delete(key)
             table.delete(key)
+        report = quiescent_walk(array)
+        assert report.ok(), report.violations
         probes = data.draw(st.lists(keys, max_size=3))
         for entry in table.items():
             probes += [entry.key - 1, entry.key, entry.key + 1]
         for probe in probes:
             if 0 <= probe <= top:
+                check("get", probe)
                 check("successor", probe)
                 check("predecessor", probe)
         check("minimum")

@@ -337,6 +337,59 @@ def test_insert_restarts_when_its_bottom_node_is_unlinked():
     assert quiescent_walk(array).ok()
 
 
+def test_insert_indexes_its_bottom_node_before_the_bit_and_entry_stores():
+    # The index item is written under the bottom node's mutex, before the
+    # bit and the entry: a node that holds an entry is always indexed, and a
+    # node that a delete unlinks can have no item written after the unlink.
+    seen = []
+
+    class SpyIndex(dict):
+        def __setitem__(self, prefix, node):
+            seen.append((prefix, node._mutex.locked(), node.retired,
+                         node.value, node.children[3]))
+            super().__setitem__(prefix, node)
+
+    array = DcvebArray(branching=64)
+    array.insert(130, "a")
+    node = array._params().root.children[2]
+    array._bottoms = SpyIndex(array._bottoms)
+    array.insert(131, "b")
+    assert seen == [(2, True, False, 1 << (63 - 2), None)]
+    assert array._bottoms[2] is node
+    assert array.get(131) == Entry(131, "b")
+
+
+def test_restarted_insert_leaves_the_fresh_node_indexed():
+    # insert(131) parks before the mutex of the node holding 130.  In the
+    # pause delete(130) unlinks and retires that node, and insert(132)
+    # installs and indexes a fresh one.  The parked insert finds its node
+    # retired and restarts; when it reaches the fresh node's mutex, the
+    # index must still hold the fresh node, so get(132) finds 132.
+    array = DcvebArray(branching=64)
+    array.insert(130, "evict")
+    stale = array._params().root.children[2]
+    seen = {}
+
+    def probe():
+        seen["indexed"] = array._bottoms.get(2)
+        seen["get"] = array.get(132)
+
+    def unlink_and_refill():
+        array.delete(130)
+        array.insert(132, "first")
+        fresh = array._params().root.children[2]
+        fresh._mutex = RunOnEnter(fresh._mutex, probe)
+
+    stale._mutex = RunOnEnter(stale._mutex, unlink_and_refill)
+    array.insert(131, "landed")
+    fresh = array._params().root.children[2]
+    assert fresh is not stale and stale.retired
+    assert seen == {"indexed": fresh, "get": Entry(132, "first")}
+    assert array._bottoms[2] is fresh
+    assert array.get(131) == Entry(131, "landed")
+    assert quiescent_walk(array).ok()
+
+
 def test_delete_of_a_retired_bottom_node_removes_nothing_else():
     # delete(130) pauses after its descent.  In the pause an inner delete
     # empties and retires the bottom node, and 130 returns under a fresh

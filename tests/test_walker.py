@@ -77,10 +77,12 @@ def test_detects_entry_key_mismatch():
 def test_detects_node_in_bit_clear_slot():
     array = DcvebArray()
     array.insert(130, "C")
-    # an empty node left linked under a clear bit: deletes unlink these
+    # an empty node left linked under a clear bit: deletes unlink these.  It
+    # is a bottom-level node that no insert indexed
     array._params().root.children[5] = Node(64, 0)
     report = quiescent_walk(array)
-    assert report.violations == [("", "bit-clear-slot-occupied", 5)]
+    assert report.violations == [("", "bit-clear-slot-occupied", 5),
+                                 ("", "bottom-index-mismatch", 5)]
 
 
 def test_detects_node_in_bottom_level_slot():
@@ -161,3 +163,30 @@ def test_detects_held_node_mutex():
         report = quiescent_walk(array)
     assert report.violations == [("", "mutex-held", 0)]
     assert quiescent_walk(array).ok()
+
+
+def test_detects_stale_bottom_index_item():
+    array = DcvebArray()
+    array.insert(130, "C")
+    array.insert(200, "D")
+    stale = array._params().root.children[3]
+    array.delete(200)  # unlinks the bottom node of prefix 3
+    assert quiescent_walk(array).ok()
+    array._bottoms[3] = stale
+    report = quiescent_walk(array)
+    assert report.violations == [("", "bottom-index-mismatch", 3)]
+    # an item under the wrong prefix is stale too
+    del array._bottoms[3]
+    array._bottoms[4] = array._bottoms[2]
+    report = quiescent_walk(array)
+    assert report.violations == [("", "bottom-index-mismatch", 4)]
+
+
+def test_detects_missing_bottom_index_item():
+    array = DcvebArray()
+    array.insert(130, "C")
+    array.insert(5, "A")
+    del array._bottoms[2]
+    report = quiescent_walk(array)
+    assert report.violations == [("", "bottom-index-mismatch", 2)]
+    assert array.get(130) is None  # get answers from the index alone
