@@ -20,8 +20,9 @@ Concurrency contract:
   slot before it clears the bit, so a filled slot always has its bit set:
   queries read slots first, and a word only to move past an empty slot.
 * ``_bottoms`` maps each prefix ``key >> shift`` to the bottom-level node
-  that covers it.  ``insert`` writes the item under the bottom node's mutex,
-  after the ``retired`` check and before the bit and entry stores; the item
+  that covers it.  An insert that descends writes the item under the bottom
+  node's mutex, after the ``retired`` check and before the bit and entry
+  stores (one that stores through the index finds it written); the item
   is removed in the critical section that unlinks that node (a delete's walk
   or a residue pass) or drops it (a growth over an empty height-1 root).  So
   a node holding an entry is always indexed, and an indexed node that has
@@ -38,20 +39,28 @@ Concurrency contract:
 * The published parameters (size, height, root) change only under the
   root guard's write lock plus the old root's mutex: a growth and a trim
   are the only publishers, and each stores the new parameters plainly.
-* ``insert`` holds the root guard's read lock for the whole call, so its
-  snapshotted root stays published.  It descends without locks, installs a
-  missing child with ``Node.cas_child`` and stores its entry under the
-  bottom node's mutex; a retired node sends it back to the same root.  A
-  key beyond the current capacity makes it take the guard exclusively to
-  grow the tree first, while it holds no other lock.
+* ``insert`` first probes ``_bottoms``.  If the indexed node holds an
+  entry, the insert takes that node's mutex, re-checks that the node is
+  still non-empty and unretired, and stores its bit and entry: a node that
+  holds an entry leaves the tree only after a writer has seen it empty
+  under its mutex (a trim pops only interior roots), so it stays reachable
+  while the mutex is held.  Any other insert (a miss, an empty node, a
+  failed re-check) holds the root guard's read lock for the rest of the
+  call, so its snapshotted root stays published.  It descends without
+  locks, installs a missing child with ``Node.cas_child`` and stores its
+  entry under the bottom node's mutex; a retired node sends it back to the
+  same root.  A key beyond the current capacity makes it take the guard
+  exclusively to grow the tree first, while it holds no other lock.
 * ``delete`` descends once without locks, empties the entry's slot under the
   bottom node's mutex, then walks up one (parent, child) pair at a time,
   locking each pair top-down, unlinking each child it finds empty and
   stopping at a retired parent.  It takes the root guard shared only for
   one residue pass when the parameters moved under it, and exclusively
   only while trimming.
-* The guard is always taken before any node mutex, an insert holds at most
-  one node mutex, and no operation holds more than two.
+* The guard is always taken before any node mutex: an insert never holds a
+  node mutex while it takes the guard, and one that stores through the
+  index holds one node mutex and no guard.  An insert holds at most one
+  node mutex, and no operation holds more than two.
 
 Nodes detached from the tree stay readable by threads that still hold
 references (reclamation is deferred to the garbage collector), which is what
@@ -329,7 +338,15 @@ class DcvebArray:
     def insert(self, key: int, value: Any) -> None:
         """Store ``value`` under ``key``, overwriting any entry there.
 
-        The root guard's read lock spans the whole call, and every publish
+        When ``_bottoms`` indexes ``key``'s bottom node and that node holds an
+        entry, the store is made under the node's mutex alone, once the node
+        is re-checked there to be non-empty and unretired: such a node is
+        reachable from the published root, and a delete, a residue pass or a
+        growth removes a node only after seeing it empty under its mutex.
+        This path takes no guard and fires no hook.
+
+        Otherwise (no item, an empty node or a failed re-check) the root
+        guard's read lock spans the rest of the call, and every publish
         takes the guard's write lock, so the root snapshotted here stays the
         published one: it is never retired under this call.  The descent
         reads slots without locks.  It installs a missing child with
@@ -344,6 +361,19 @@ class DcvebArray:
             self._check_key(key)
         if value is None:
             raise ValueError("value must not be None (None marks vacant slots)")
+        entry = Entry(key, value)
+        shift = self._shift
+        mask = self._mask
+        node = self._bottoms.get(key >> shift)
+        if node is not None and node.value:
+            # a live node that holds an entry stays in the tree while its
+            # mutex is held: no guard, no descent
+            with node._mutex:
+                if node.value and not node.retired:
+                    digit = key & mask
+                    node.value |= 1 << (mask - digit)
+                    node.children[digit] = entry
+                    return
         ap_lock = self._ap_lock
         while True:
             ap_lock.acquire_read()
@@ -353,9 +383,6 @@ class DcvebArray:
                     self._hooks("insert-snapshot")
                 if key < params.size:
                     n = self._n
-                    shift = self._shift
-                    mask = self._mask
-                    entry = Entry(key, value)
                     while True:  # one pass per descent from the root
                         s = params.top
                         node = params.root

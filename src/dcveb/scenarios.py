@@ -4,10 +4,13 @@ The scripted scenarios drive two threads through the exact interleavings the
 design has to survive: an insert holding the root guard shared while a trim
 tries to pop its root, or while a growth waits to stack levels above it; an
 insert about to store into a bottom node that a delete empties and unlinks,
-so the insert finds it retired and restarts; and a delete whose tree grows
+so the insert's re-check fails and it descends; and a delete whose tree grows
 underneath it mid-flight, leaving stale occupancy bits for its guarded
 residue pass.  Test hooks compiled into the array (no-ops by default) and
 :class:`RunOnEnter` stand-ins for a node's mutex provide the pause points.
+An insert into a live indexed bottom node fires no hook (it takes neither
+the guard nor a descent), so it is paused with :class:`RunOnEnter` on that
+node's mutex; ``insert-snapshot`` fires only on the guarded descent.
 The stress workloads run on the benchmark's thread driver
 (``bench.run_workload``) and share its failure policy.
 """
@@ -63,8 +66,9 @@ def _run_pair(a, b) -> list[str]:
 
 class RunOnEnter:
     """Stand-in for a node's mutex that runs ``action`` once, on the first
-    ``with`` entry (an insert's ``cas_child`` or entry store, or a delete's
-    slot clear), before taking the real lock."""
+    ``with`` entry (an insert's ``cas_child`` or entry store, through the
+    index or at the end of a descent, or a delete's slot clear), before
+    taking the real lock."""
 
     def __init__(self, lock, action):
         self._lock = lock
@@ -163,10 +167,10 @@ def _grow_waits_for_pin() -> list[str]:
 
 
 def _insert_vs_unlink() -> list[str]:
-    """An insert descends to a bottom node and parks before taking its
-    mutex; a delete then removes that node's only entry, which empties it,
-    unlinks it and retires it.  The resumed insert must find the node
-    retired, restart from the root, land in a freshly installed node and
+    """An insert finds a bottom node through the index and parks before
+    taking its mutex; a delete then removes that node's only entry, which
+    empties it, unlinks it and retires it.  The resumed insert must fail its
+    re-check, descend from the root, land in a freshly installed node and
     index that node, not the retired one, under its prefix."""
     in_window = threading.Event()
     resume = threading.Event()

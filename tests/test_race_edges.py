@@ -8,6 +8,7 @@ import threading
 import pytest
 
 from dcveb.core import DcvebArray, Entry, Node
+from dcveb.rwlock import FairRWLock
 from dcveb.scenarios import RunOnEnter
 from dcveb.walker import quiescent_walk, structure_fingerprint
 
@@ -319,10 +320,11 @@ def test_raising_hook_leaks_no_lock(point, assert_no_lock_held):
 
 
 def test_insert_restarts_when_its_bottom_node_is_unlinked():
-    # insert(131) descends to the node holding 130 and, before it takes that
-    # node's mutex, delete(130) empties the node, unlinks it and retires it.
-    # The insert finds the node retired under its mutex and restarts from
-    # the root, which installs a fresh node for the entry.
+    # insert(131) finds the node holding 130 through the index and, before
+    # it takes that node's mutex, delete(130) empties the node, unlinks it
+    # and retires it.  The insert finds the node retired under its mutex and
+    # falls back to the descent from the root, which installs a fresh node
+    # for the entry.
     array = DcvebArray(branching=64)
     array.insert(130, "evict")
     stale = array._params().root.children[2]
@@ -337,26 +339,136 @@ def test_insert_restarts_when_its_bottom_node_is_unlinked():
     assert quiescent_walk(array).ok()
 
 
-def test_insert_indexes_its_bottom_node_before_the_bit_and_entry_stores():
-    # The index item is written under the bottom node's mutex, before the
-    # bit and the entry: a node that holds an entry is always indexed, and a
-    # node that a delete unlinks can have no item written after the unlink.
+def test_index_hit_insert_falls_back_when_its_node_is_unlinked():
+    # insert(131) finds the node holding only 130 through the index and
+    # parks on entering its mutex, before any hook and holding no guard.
+    # delete(130) runs to completion in the pause: it empties, unlinks,
+    # retires and de-indexes that node.  The insert's re-check under the
+    # mutex fails, so it takes the guarded descent, which installs and
+    # indexes a fresh node.
+    points = []
+    array = DcvebArray(branching=64, hooks=points.append)
+    array.insert(130, "evict")
+    stale = array._bottoms[2]
+
+    def unlink():
+        assert points == []
+        assert array._ap_lock._active_readers == 0
+        array.delete(130)
+        assert stale.retired and 2 not in array._bottoms
+
+    stale._mutex = RunOnEnter(stale._mutex, unlink)
+    points.clear()
+    array.insert(131, "landed")
+    assert points == ["delete-snapshot", "delete-path", "delete-cleared",
+                      "insert-snapshot"]
+    fresh = array._params().root.children[2]
+    assert fresh is not stale and not fresh.retired
+    assert array._bottoms[2] is fresh
+    assert array.get(131) == Entry(131, "landed")
+    assert array.get(130) is None
+    assert quiescent_walk(array).ok()
+
+
+def test_descent_restarts_when_its_bottom_node_is_unlinked():
+    # insert(131) parks on entering the mutex of the node holding 130.  In
+    # the pause delete(130) retires that node and insert(130) installs a
+    # fresh one, so the re-check fails and the insert descends.  The descent
+    # reaches the fresh node and parks on its mutex, where delete(130)
+    # retires that node too: the descent finds it retired and restarts from
+    # the same root, which installs and indexes a third node.
+    array = DcvebArray(branching=64)
+    array.insert(130, "evict")
+    stale = array._bottoms[2]
     seen = []
+
+    def unlink_again():
+        array.delete(130)
+        seen.append(array._bottoms.get(2))
+
+    def unlink_and_refill():
+        array.delete(130)
+        array.insert(130, "back")
+        fresh = array._bottoms[2]
+        seen.append(fresh)
+        fresh._mutex = RunOnEnter(fresh._mutex, unlink_again)
+
+    stale._mutex = RunOnEnter(stale._mutex, unlink_and_refill)
+    array.insert(131, "landed")
+    fresh = seen[0]
+    assert seen == [fresh, None]
+    assert stale.retired and fresh.retired and fresh is not stale
+    assert fresh.children[3] is None
+    third = array._params().root.children[2]
+    assert third not in (stale, fresh) and array._bottoms[2] is third
+    assert array.get(131) == Entry(131, "landed")
+    assert array.get(130) is None
+    assert quiescent_walk(array).ok()
+
+
+def test_index_hit_insert_lands_in_a_root_that_a_growth_adopts():
+    # The height-1 root holds 1, so insert(2) stores through the index.  It
+    # parks on entering the root's mutex, holding no guard, while insert(5)
+    # grows the tree: the growth is not held off, finds the root non-empty
+    # and adopts it as child 0.  The adopted root is still live, so the
+    # parked insert's re-check passes and its entry lands there.
+    array = DcvebArray(branching=4, key_bits=4)
+    array.insert(1, 1)
+    root = array._params().root
+    growers = []
+    parked = []
+
+    def grow():
+        _start_grower(array, growers)
+        parked.append(growers[0].is_alive())
+
+    root._mutex = RunOnEnter(root._mutex, grow)
+    array.insert(2, 2)
+    assert parked == [False], "growth waited for the parked insert"
+    params = array._params()
+    assert params.height == 2 and params.root.children[0] is root
+    assert not root.retired and array._bottoms[0] is root
+    for key in (1, 2, 5):
+        assert array.get(key) == Entry(key, key)
+    assert quiescent_walk(array).ok()
+
+
+def test_insert_indexes_its_bottom_node_before_the_bit_and_entry_stores():
+    # An insert that descends writes the index item under the bottom node's
+    # mutex, before the bit and the entry: a node that holds an entry is
+    # always indexed, and a node that a delete unlinks can have no item
+    # written after the unlink.  An insert into a live indexed node writes
+    # no item, takes no guard and fires no hook.
+    seen = []
+    reads = []
+    points = []
 
     class SpyIndex(dict):
         def __setitem__(self, prefix, node):
             seen.append((prefix, node._mutex.locked(), node.retired,
-                         node.value, node.children[3]))
+                         node.value, node.children[8]))
             super().__setitem__(prefix, node)
 
-    array = DcvebArray(branching=64)
+    class SpyGuard(FairRWLock):
+        def acquire_read(self):
+            reads.append(True)
+            super().acquire_read()
+
+    array = DcvebArray(branching=64, hooks=points.append)
     array.insert(130, "a")
-    node = array._params().root.children[2]
     array._bottoms = SpyIndex(array._bottoms)
-    array.insert(131, "b")
-    assert seen == [(2, True, False, 1 << (63 - 2), None)]
-    assert array._bottoms[2] is node
-    assert array.get(131) == Entry(131, "b")
+    array._ap_lock = SpyGuard()
+    array.insert(200, "b")  # prefix 3: a fresh bottom node, by the descent
+    node = array._params().root.children[3]
+    assert seen == [(3, True, False, 0, None)]
+    assert array._bottoms[3] is node
+    assert array.get(200) == Entry(200, "b")
+    seen.clear()
+    reads.clear()
+    points.clear()
+    array.insert(131, "c")  # prefix 2 holds 130: through the index
+    assert (seen, reads, points) == ([], [], [])
+    assert array.get(131) == Entry(131, "c")
 
 
 def test_restarted_insert_leaves_the_fresh_node_indexed():
