@@ -23,44 +23,49 @@ Concurrency contract:
   that covers it.  An insert that descends writes the item under the bottom
   node's mutex, after the ``retired`` check and before the bit and entry
   stores (one that stores through the index finds it written); the item
-  is removed in the critical section that unlinks that node (a delete's walk
-  or a residue pass) or drops it (a growth over an empty height-1 root).  So
-  a node holding an entry is always indexed, and an indexed node that has
-  since been retired is empty for good: a query that reads it answers
-  "absent", which held at the moment of the unlink.  ``get`` is one index
-  probe and one slot read; ``successor`` and ``predecessor`` start at the
-  indexed node, or at the root when the prefix has none.
+  is removed in the critical section that unlinks that node (a delete's
+  unlink pass) or drops it (a growth over an empty height-1 root).  So a
+  node holding an entry is always indexed, and an indexed node that has
+  since been retired is empty for good: a reader that finds it retired, or
+  finds its slot empty, answers "absent", which held at a moment inside the
+  call.  ``get`` is one index probe and one slot read, and ``delete`` starts
+  the same way; ``successor`` and ``predecessor`` start at the indexed node,
+  or at the root when the prefix has none.
 * Every write to a node (its word, its slots, its ``retired`` mark) happens
   under the node's mutex, and a writer checks ``retired`` first.  A node is
-  retired under its mutex at the moment it leaves the tree: when a delete's
-  walk or a residue pass unlinks it, when a growth drops an empty old root,
-  and when a trim pops the old root.  So a node found unretired under its
-  mutex is reachable from the root published at that moment.
+  retired under its mutex at the moment it leaves the tree: when an unlink
+  pass unlinks it, when a growth drops an empty old root, and when a trim
+  pops the old root.  So a node found unretired under its mutex is
+  reachable from the root published at that moment.
 * The published parameters (size, height, root) change only under the
   root guard's write lock plus the old root's mutex: a growth and a trim
   are the only publishers, and each stores the new parameters plainly.
 * ``insert`` first probes ``_bottoms``.  If the indexed node holds an
-  entry, the insert takes that node's mutex, re-checks that the node is
-  still non-empty and unretired, and stores its bit and entry: a node that
-  holds an entry leaves the tree only after a writer has seen it empty
-  under its mutex (a trim pops only interior roots), so it stays reachable
-  while the mutex is held.  Any other insert (a miss, an empty node, a
-  failed re-check) holds the root guard's read lock for the rest of the
-  call, so its snapshotted root stays published.  It descends without
-  locks, installs a missing child with ``Node.cas_child`` and stores its
-  entry under the bottom node's mutex; a retired node sends it back to the
-  same root.  A key beyond the current capacity makes it take the guard
-  exclusively to grow the tree first, while it holds no other lock.
-* ``delete`` descends once without locks, empties the entry's slot under the
-  bottom node's mutex, then walks up one (parent, child) pair at a time,
-  locking each pair top-down, unlinking each child it finds empty and
-  stopping at a retired parent.  It takes the root guard shared only for
-  one residue pass when the parameters moved under it, and exclusively
-  only while trimming.
-* The guard is always taken before any node mutex: an insert never holds a
-  node mutex while it takes the guard, and one that stores through the
-  index holds one node mutex and no guard.  An insert holds at most one
-  node mutex, and no operation holds more than two.
+  entry (an unlocked read), the insert takes that node's mutex, re-checks
+  that the node is unretired, the check every writer makes, and stores its
+  bit and entry: an unretired node stays reachable while its mutex is
+  held.  Any other insert (a miss, an empty node, a retired one) holds the
+  root guard's read lock for the rest of the call, so its snapshotted root
+  stays published.  It descends without locks, installs a missing child
+  with ``Node.cas_child`` and stores its entry under the bottom node's
+  mutex; a retired node sends it back to the same root.  A key beyond the
+  current capacity makes it take the guard exclusively to grow the tree
+  first, while it holds no other lock.
+* ``delete`` probes ``_bottoms`` and empties the entry's slot under the
+  indexed node's mutex; a miss, a retired node or an empty slot ends it.
+  A node that keeps another entry ends it too, with no params read and no
+  guard.  A delete that empties its node reads the params and runs one
+  unlink pass: a lock-free descent from their root to the first clear bit,
+  then bottom-up one (parent, child) pair at a time, locking each pair
+  top-down, unlinking each child it finds empty and stopping at a parent
+  that keeps another child or is retired.  When the parameters moved under
+  the pass, it runs once more under the root guard's read lock.  The
+  delete takes the guard exclusively only while trimming.
+* The guard is always taken before any node mutex: no writer holds a node
+  mutex while it takes the guard.  An insert that stores through the index
+  and a delete that keeps its node non-empty hold one node mutex and no
+  guard.  An insert holds at most one node mutex, and no operation holds
+  more than two.
 
 Nodes detached from the tree stay readable by threads that still hold
 references (reclamation is deferred to the garbage collector), which is what
@@ -338,14 +343,16 @@ class DcvebArray:
     def insert(self, key: int, value: Any) -> None:
         """Store ``value`` under ``key``, overwriting any entry there.
 
-        When ``_bottoms`` indexes ``key``'s bottom node and that node holds an
-        entry, the store is made under the node's mutex alone, once the node
-        is re-checked there to be non-empty and unretired: such a node is
-        reachable from the published root, and a delete, a residue pass or a
-        growth removes a node only after seeing it empty under its mutex.
-        This path takes no guard and fires no hook.
+        When ``_bottoms`` indexes ``key``'s bottom node and an unlocked read
+        shows that node holding an entry, the store is made under the node's
+        mutex alone, once the node is re-checked there to be unretired: every
+        node is retired under its mutex as it leaves the tree, so an
+        unretired one stays reachable from the published root while the
+        mutex is held.  The unlocked read only keeps empty nodes, which an
+        unlink pass or a growth may be about to remove, on the descent.  This
+        path takes no guard and fires no hook.
 
-        Otherwise (no item, an empty node or a failed re-check) the root
+        Otherwise (no item, an empty node or a retired one) the root
         guard's read lock spans the rest of the call, and every publish
         takes the guard's write lock, so the root snapshotted here stays the
         published one: it is never retired under this call.  The descent
@@ -366,10 +373,10 @@ class DcvebArray:
         mask = self._mask
         node = self._bottoms.get(key >> shift)
         if node is not None and node.value:
-            # a live node that holds an entry stays in the tree while its
-            # mutex is held: no guard, no descent
+            # an unretired node stays in the tree while its mutex is held:
+            # no guard, no descent
             with node._mutex:
-                if node.value and not node.retired:
+                if not node.retired:
                     digit = key & mask
                     node.value |= 1 << (mask - digit)
                     node.children[digit] = entry
@@ -412,12 +419,14 @@ class DcvebArray:
     def _grow(self, key: int) -> None:
         """Publish a tree tall enough for ``key``, unless one already is.
 
-        Runs under the root guard's write lock, so no insert is running, and
-        the old root's mutex, so no delete can clear its word meanwhile.  A
-        non-empty old root becomes child 0 of a chain of new levels; the old
-        tree is not reorganized.  An empty old root is dropped (retired) for
-        one fresh empty root instead, so growth never leaves an all-zeros
-        spine behind; a dropped height-1 root also leaves ``_bottoms``.
+        Runs under the root guard's write lock, so no insert that descends
+        is running, and the old root's mutex, so no writer can change its
+        word meanwhile; an insert through the index that takes that mutex
+        afterwards finds a dropped root retired.  A non-empty old root
+        becomes child 0 of a chain of new levels; the old tree is not
+        reorganized.  An empty old root is dropped (retired) for one fresh
+        empty root instead, so growth never leaves an all-zeros spine
+        behind; a dropped height-1 root also leaves ``_bottoms``.
         """
         ap_lock = self._ap_lock
         ap_lock.acquire_write()
@@ -454,67 +463,53 @@ class DcvebArray:
     def delete(self, key: int) -> None:
         """Remove ``key``'s entry, if present.
 
-        One lock-free descent finds the bottom-level node.  Its slot is then
-        re-read under that node's mutex: a retired node or an empty slot
-        means the key was absent at some moment since the descent saw it
-        (another delete got there first, or the branch was emptied), so the
-        call linearizes there and touches nothing more.  Any entry found is
-        removed, whether or not it is the one the descent saw: ``insert``
-        overwrites in place, so the key stayed present throughout.  The walk
-        up then unlinks every node the delete emptied, one (parent, child)
-        pair at a time.
+        ``_bottoms`` hands over ``key``'s bottom node, as for ``get``: a miss
+        means the key is absent, since every node that holds an entry is
+        indexed.  The slot is re-read under that node's mutex: a retired node
+        or an empty slot means the key was absent at some moment inside the
+        call (another delete emptied it, or the node was unlinked after the
+        probe), so the call linearizes there and touches nothing more.  Any
+        entry found is removed: ``insert`` overwrites in place, so the key
+        stayed present throughout.  A node that keeps another entry ends the
+        call there, with no params read and no guard.
+
+        Only a delete that empties its node reads the params and runs
+        ``_unlink_path`` from their root.  If a growth or a trim published
+        new params meanwhile, that pass stopped at the root it read, so it
+        runs once more under the root guard's read lock, from the fresh
+        root.  Then ``_trim_top``.
         """
         if type(key) is not int or key < 0 or key >= self._key_limit:
             self._check_key(key)
         hooks = self._hooks
-        params = self._ap
         if hooks is not None:
             hooks("delete-snapshot")
-        if key >= params.size:
+        node = self._bottoms.get(key >> self._shift)
+        if node is None:
             return
-        n = self._n
-        shift = self._shift
-        mask = self._mask
-        s = params.top
-        node = params.root
-        path = []  # the nodes above the bottom level, root first
-        while True:
-            digit = (key >> s) & mask
-            bit = 1 << (n - 1 - digit)
-            if node.value & bit == 0:
-                return
-            child = node.children[digit]
-            if child is None:
-                return
-            if s == 0:
-                break
-            path.append(node)
-            node = child
-            s -= shift
         if hooks is not None:
             hooks("delete-path")
+        mask = self._mask
+        digit = key & mask
         with node._mutex:
             if node.retired or node.children[digit] is None:
                 return
             node.children[digit] = None
-            word = node.value & ~bit
+            word = node.value & ~(1 << (mask - digit))
             node.value = word
-        if word == 0:
-            clear = self._clear_if_empty
-            for parent in reversed(path):
-                s += shift
-                if not clear(parent, key, s, node):
-                    break
-                node = parent
+        if word:
+            return
+        params = self._ap
         if hooks is not None:
             hooks("delete-cleared")
+        self._unlink_path(key, params)
         if self._ap is not params:
-            # the walk stopped at the root it snapshotted, below any levels
-            # a growth stacked on top since; one guarded pass strips them
+            # the pass stopped at the root it read, below any levels a
+            # growth stacked on top since; one guarded pass strips them
             ap_lock = self._ap_lock
             ap_lock.acquire_read()
             try:
-                self._clean_residue(key)
+                self._unlink_path(key, self._ap)
             finally:
                 ap_lock.release_read()
         self._trim_top()
@@ -555,25 +550,24 @@ class DcvebArray:
                         del bottoms[key >> s]
                 return word == 0
 
-    def _clean_residue(self, key: int) -> None:
-        """Re-verify the current path toward ``key`` and strip stale bits.
+    def _unlink_path(self, key: int, params: TreeParams) -> None:
+        """Unlink every empty node on ``key``'s path below ``params.root``.
 
-        A delete that raced a root growth can only propagate up to the root
-        it snapshotted, leaving levels above it claiming a subtree that is
-        now empty.  This pass descends without locks from the currently
-        published root, keeping the nodes above the stop point as ``delete``
-        does, and stops at the first clear bit.  Then, bottom-up under the
-        same pair-lock discipline as deletion, it unlinks any child that is
-        verifiably empty and clears its bit.  It never clears a bit over a
-        live entry: emptiness is re-checked while holding both mutexes.
+        Descends without locks from ``params.root``, keeping the nodes above
+        the stop point, and stops at the first clear bit.  Then, bottom-up,
+        ``_clear_if_empty`` unlinks each child that is verifiably empty and
+        clears its bit, and the pass stops at the first parent that keeps
+        another child or is retired.  It never clears a bit over a live
+        entry: emptiness is re-checked while holding both mutexes.
 
-        ``delete`` runs it under the root guard's read lock, so no growth or
-        trim publishes during the pass and one pass reaches every stacked
-        level.  A growth after the delete's walk finds the emptied old root
-        under its mutex and does not adopt it, so no residue can appear
-        behind the pass.
+        A delete that empties its bottom node runs it from the root it read
+        after the clear.  A growth after that read may stack levels above
+        that root, which this pass cannot reach, so the delete runs it again
+        from the fresh root under the root guard's read lock: no growth or
+        trim publishes during that pass, so it reaches every stacked level.
+        A growth after the first pass finds an emptied old root under its
+        mutex and drops it, so no residue appears behind the pass.
         """
-        params = self._ap
         if key >= params.size:
             return
         n = self._n
@@ -608,8 +602,8 @@ class DcvebArray:
 
         One level per iteration; the publish is re-validated and performed
         under the root guard, which keeps every insert out, plus the old
-        root's mutex, under which the popped root is retired.  A delete
-        walking up from below then stops at it.
+        root's mutex, under which the popped root is retired.  An unlink
+        pass that started from it then stops there.
         """
         n = self._n
         only_zero = child_mask(0, n)

@@ -4,13 +4,17 @@ The scripted scenarios drive two threads through the exact interleavings the
 design has to survive: an insert holding the root guard shared while a trim
 tries to pop its root, or while a growth waits to stack levels above it; an
 insert about to store into a bottom node that a delete empties and unlinks,
-so the insert's re-check fails and it descends; and a delete whose tree grows
-underneath it mid-flight, leaving stale occupancy bits for its guarded
-residue pass.  Test hooks compiled into the array (no-ops by default) and
-:class:`RunOnEnter` stand-ins for a node's mutex provide the pause points.
-An insert into a live indexed bottom node fires no hook (it takes neither
-the guard nor a descent), so it is paused with :class:`RunOnEnter` on that
-node's mutex; ``insert-snapshot`` fires only on the guarded descent.
+so the insert's re-check fails and it descends; and a delete that has
+emptied its bottom node and read the parameters when the tree grows above
+them, so its unlink pass leaves a stale occupancy bit for its guarded second
+pass.  A delete reaches its node through the bottom-node index and reads the
+parameters only once it has emptied that node, so ``delete-cleared`` (after
+that read) is the point where a growth can outrun it.  Test hooks compiled
+into the array (no-ops by default) and :class:`RunOnEnter` stand-ins for a
+node's mutex provide the pause points.  An insert into a live indexed bottom
+node fires no hook (it takes neither the guard nor a descent), so it is
+paused with :class:`RunOnEnter` on that node's mutex; ``insert-snapshot``
+fires only on the guarded descent.
 The stress workloads run on the benchmark's thread driver
 (``bench.run_workload``) and share its failure policy.
 """
@@ -212,38 +216,46 @@ def _insert_vs_unlink() -> list[str]:
 
 
 def _grow_vs_delete_residue() -> list[str]:
-    """A delete snapshots the parameters, then an insert grows the tree by a
-    level.  The delete can only propagate up to the old root, so the new top
-    level is left claiming a now-empty subtree; the delete's guarded residue
-    pass must strip that bit before the delete returns."""
+    """A delete empties the bottom node of a height-2 tree's only entry and
+    reads the parameters for its unlink pass; then an insert grows the tree
+    to height 3, adopting the old root, which still claims the emptied node.
+    The pass from the old root can only unlink up to that root, so the new
+    top level is left claiming a now-empty subtree; the delete's guarded
+    second pass must strip that bit before the delete returns."""
     in_window = threading.Event()
     resume = threading.Event()
     armed = [False]
 
     def hooks(point):
-        if point == "delete-snapshot" and armed[0]:
+        if point == "delete-cleared" and armed[0]:
             armed[0] = False
             in_window.set()
             resume.wait(5)
 
     array = DcvebArray(branching=64, hooks=hooks)
-    array.insert(5, "victim")
+    array.insert(70, "victim")  # height 2; the root holds only child 1
     armed[0] = True
 
     def deleter():
-        array.delete(5)
+        array.delete(70)
 
     def grower():
         in_window.wait(5)
-        array.insert(70, "grown")  # height 1 -> 2; old root becomes child 0
-        resume.set()
+        try:
+            array.insert(5000, "grown")  # height 2 -> 3; old root is child 0
+        finally:
+            resume.set()
 
     problems = _run_pair(deleter, grower)
-    if array.get(5) is not None:
+    if not in_window.is_set():
+        problems.append("delete never paused after its clear")
+    if array.get(70) is not None:
         problems.append("deleted key still visible")
-    entry = array.get(70)
+    entry = array.get(5000)
     if entry is None or entry.value != "grown":
         problems.append("growth insert lost")
+    if array.capacity_snapshot().height != 3:
+        problems.append("height %d, not 3" % array.capacity_snapshot().height)
     report = quiescent_walk(array)
     if report.violations:
         problems.append("walk violations: %r" % (report.violations,))

@@ -395,7 +395,7 @@ class TestResidueAndTrim:
             array.insert(key, key)
         before = structure_fingerprint(array)
         for key in (0, 3, 131, 4095):
-            array._clean_residue(key)
+            array._unlink_path(key, array._params())
         assert structure_fingerprint(array) == before
 
     def test_trim_noop_with_two_occupied_children(self):

@@ -22,11 +22,11 @@ def test_hook_points_fire_in_order():
     array.insert(3, "keep")
     assert points == ["insert-snapshot"]
     points.clear()
-    array.delete(70)  # snapshot, path found, entry cleared, then a trim attempt
+    array.delete(70)  # node indexed, emptied: unlink pass, then a trim
     assert points == ["delete-snapshot", "delete-path", "delete-cleared",
                       "trim-pre-publish"]
     points.clear()
-    array.delete(71)  # absent: the descent stops before the path point
+    array.delete(71)  # absent: no node is indexed under its prefix
     assert points == ["delete-snapshot"]
     points.clear()
     assert array.successor(3) == Entry(3, "keep")  # exact hit: no restart
@@ -92,8 +92,8 @@ def _pause_once_at(point_name, in_window, resume):
 
 
 def test_paused_delete_removes_rebuilt_entry():
-    # A's delete pauses right after its snapshot; B deletes the same key and
-    # re-inserts it.  A then resolves the fresh path and its delete takes
+    # A's delete pauses before it probes the index; B deletes the same key
+    # and re-inserts it.  A then finds the fresh node and its delete takes
     # effect last: the rebuilt entry is (legitimately) removed.
     in_window = threading.Event()
     resume = threading.Event()
@@ -135,9 +135,35 @@ def _run_once_at(point_name, action):
     return hooks, armed, points
 
 
+class _SpyGuard(FairRWLock):
+    """Root guard that logs every acquire and knows whether the calling
+    thread holds it for reading."""
+
+    def __init__(self):
+        super().__init__()
+        self.acquires = []
+        self._reading = threading.local()
+
+    def held_for_reading(self):
+        return getattr(self._reading, "held", False)
+
+    def acquire_read(self):
+        self.acquires.append("read")
+        super().acquire_read()
+        self._reading.held = True
+
+    def release_read(self):
+        self._reading.held = False
+        super().release_read()
+
+    def acquire_write(self):
+        self.acquires.append("write")
+        super().acquire_write()
+
+
 def test_stale_trail_delete_aborts_without_touching_rebuild():
-    # delete(130) pauses after its descent found the bottom-level node.  In
-    # the pause the branch is emptied (its nodes unlinked) and rebuilt.  The
+    # delete(130) pauses after the index handed it the bottom-level node.
+    # In the pause the branch is emptied (its nodes unlinked) and rebuilt.  The
     # stale node is retired under its mutex, so the delete aborts and leaves
     # the rebuilt entry alone; it linearizes between the other delete and
     # the re-insert.
@@ -160,11 +186,11 @@ def test_stale_trail_delete_aborts_without_touching_rebuild():
 
 
 def test_stale_trail_delete_after_overwrite_removes_key():
-    # delete(130) pauses after its descent, and the key is overwritten in
+    # delete(130) pauses after its index probe, and the key is overwritten in
     # the pause (a new Entry lands in the same slot).  The key was present
     # throughout, so the delete must take effect and leave it absent;
-    # aborting because the slot no longer holds the Entry the descent saw
-    # would not be linearizable.
+    # aborting because the slot no longer holds the Entry it held at the
+    # probe would not be linearizable.
     seen = []
 
     def overwrite():
@@ -235,8 +261,8 @@ def test_growth_waits_for_pinned_insert_to_set_its_bit():
 
 def test_delete_lands_on_reused_parent_node():
     # Same shape, but a sibling keeps the parent node alive across B's
-    # delete+reinsert, so the new entry lands in the same node.  A resolves
-    # its path after B and its delete takes effect last: the key ends up
+    # delete+reinsert, so the new entry lands in the same node.  A probes
+    # the index after B and its delete takes effect last: the key ends up
     # absent.
     in_window = threading.Event()
     resume = threading.Event()
@@ -433,6 +459,67 @@ def test_index_hit_insert_lands_in_a_root_that_a_growth_adopts():
     assert quiescent_walk(array).ok()
 
 
+def test_index_hit_insert_restarts_when_a_growth_drops_its_root():
+    # The height-1 root holds 1, so insert(2) finds it through the index
+    # and parks on entering its mutex.  In the pause delete(1) empties the
+    # root and insert(5) grows the tree, which drops the empty root and
+    # retires it.  The parked insert's re-check under the mutex finds the
+    # root retired, so it takes the guarded descent into the new tree
+    # instead of storing into the dropped root.
+    array = DcvebArray(branching=4, key_bits=4)
+    array.insert(1, 1)
+    root = array._params().root
+
+    def empty_and_grow():
+        array.delete(1)
+        array.insert(5, 5)
+        assert array._params().root is not root
+
+    root._mutex = RunOnEnter(root._mutex, empty_and_grow)
+    array.insert(2, 2)
+    assert array.get(2) == Entry(2, 2)
+    assert array.get(5) == Entry(5, 5)
+    assert array.get(1) is None
+    assert root.retired and root.children[2] is None
+    assert quiescent_walk(array).ok()
+
+
+def test_delete_that_keeps_its_node_non_empty_touches_only_its_slot():
+    # A delete whose bottom node keeps another entry clears the slot and its
+    # bit under that node's mutex and returns: no guard, no unlink pass, no
+    # trim.  A delete of a key that is absent from an indexed node changes
+    # nothing, and one whose prefix is not indexed returns at the probe.
+    points = []
+    array = DcvebArray(branching=64, hooks=points.append)
+    for key in (5, 130, 131, 4000):
+        array.insert(key, key)
+    expected = DcvebArray(branching=64)
+    for key in (5, 131, 4000):
+        expected.insert(key, key)
+    guard = array._ap_lock = _SpyGuard()
+    params = array._params()
+    bottoms = dict(array._bottoms)
+    before = structure_fingerprint(array)
+    points.clear()
+    array.delete(130)
+    assert points == ["delete-snapshot", "delete-path"]
+    assert guard.acquires == []
+    assert array._params() is params and array._bottoms == bottoms
+    after = structure_fingerprint(array)
+    assert after == structure_fingerprint(expected)
+    array.insert(130, 130)  # through the index: writes only that slot back
+    assert structure_fingerprint(array) == before
+    array.delete(130)
+    points.clear()
+    array.delete(132)  # prefix 2 is indexed, slot 4 is empty
+    assert points == ["delete-snapshot", "delete-path"]
+    array.delete(200)  # prefix 3 is not indexed
+    assert points == ["delete-snapshot", "delete-path", "delete-snapshot"]
+    assert guard.acquires == []
+    assert structure_fingerprint(array) == after
+    assert quiescent_walk(array).ok()
+
+
 def test_insert_indexes_its_bottom_node_before_the_bit_and_entry_stores():
     # An insert that descends writes the index item under the bottom node's
     # mutex, before the bit and the entry: a node that holds an entry is
@@ -440,7 +527,6 @@ def test_insert_indexes_its_bottom_node_before_the_bit_and_entry_stores():
     # written after the unlink.  An insert into a live indexed node writes
     # no item, takes no guard and fires no hook.
     seen = []
-    reads = []
     points = []
 
     class SpyIndex(dict):
@@ -449,25 +535,20 @@ def test_insert_indexes_its_bottom_node_before_the_bit_and_entry_stores():
                          node.value, node.children[8]))
             super().__setitem__(prefix, node)
 
-    class SpyGuard(FairRWLock):
-        def acquire_read(self):
-            reads.append(True)
-            super().acquire_read()
-
     array = DcvebArray(branching=64, hooks=points.append)
     array.insert(130, "a")
     array._bottoms = SpyIndex(array._bottoms)
-    array._ap_lock = SpyGuard()
+    guard = array._ap_lock = _SpyGuard()
     array.insert(200, "b")  # prefix 3: a fresh bottom node, by the descent
     node = array._params().root.children[3]
     assert seen == [(3, True, False, 0, None)]
     assert array._bottoms[3] is node
     assert array.get(200) == Entry(200, "b")
     seen.clear()
-    reads.clear()
+    guard.acquires.clear()
     points.clear()
     array.insert(131, "c")  # prefix 2 holds 130: through the index
-    assert (seen, reads, points) == ([], [], [])
+    assert (seen, guard.acquires, points) == ([], [], [])
     assert array.get(131) == Entry(131, "c")
 
 
@@ -503,7 +584,7 @@ def test_restarted_insert_leaves_the_fresh_node_indexed():
 
 
 def test_delete_of_a_retired_bottom_node_removes_nothing_else():
-    # delete(130) pauses after its descent.  In the pause an inner delete
+    # delete(130) pauses after its index probe.  In the pause an inner delete
     # empties and retires the bottom node, and 130 returns under a fresh
     # node.  The outer delete finds its node retired and returns: the
     # structure is exactly as the pause left it.
@@ -530,16 +611,17 @@ def test_delete_of_a_retired_bottom_node_removes_nothing_else():
 
 
 def test_delete_walk_stops_at_a_trimmed_root():
-    # delete(3) pauses after its descent through the height-2 root R to the
-    # bottom node A.  In the pause delete(70) empties root child 1, so the
-    # trim pops R, publishes A as the root and retires R, which still holds
-    # A in slot 0.  The resumed delete empties A and walks up to R: R is
-    # retired, so it stops there and the published root A stays in use.
+    # delete(3) empties the bottom node A of the height-2 root R, reads the
+    # params (root R) and pauses.  In the pause delete(70) empties root
+    # child 1, so the trim pops R, publishes A as the root and retires R,
+    # which still holds A in slot 0.  The resumed unlink pass descends from
+    # R to A and tries to unlink A from R: R is retired, so it stops there
+    # and the published root A stays in use.
     def evict():
         array.delete(70)
         assert array._params().root is bottom
 
-    hooks, armed, _ = _run_once_at("delete-path", evict)
+    hooks, armed, _ = _run_once_at("delete-cleared", evict)
     array = DcvebArray(branching=64, hooks=hooks)
     array.insert(3, "drop")
     array.insert(70, "evict")
@@ -561,9 +643,10 @@ def test_delete_walk_stops_at_a_trimmed_root():
 
 def test_filled_slot_never_has_a_clear_bit_under_churn():
     # The lock-free queries trust a filled slot without reading its bit.
-    # Two writers churn keys through growths, residue passes and trims while
-    # a checker walks the tree from the published root, holding at most one
-    # node's mutex at a time: under it no filled slot may have a clear bit.
+    # Two writers churn keys through growths, guarded unlink passes and
+    # trims while a checker walks the tree from the published root, holding
+    # at most one node's mutex at a time: under it no filled slot may have a
+    # clear bit.
     # Between locked sweeps it makes unlocked ones, reading each slot, the
     # word and the slot again.  A slot is never refilled with an object it
     # held before, so a slot that held one object across the word read had
@@ -579,14 +662,18 @@ def test_filled_slot_never_has_a_clear_bit_under_churn():
     def hooks(point):
         counts[point] = counts.get(point, 0) + 1
 
+    # every delete that empties its node makes one unlink pass; count only
+    # the second, guarded pass, made when a growth or trim outran the first
     array = DcvebArray(branching=4, key_bits=12, hooks=hooks)
-    clean_residue = array._clean_residue
+    guard = array._ap_lock = _SpyGuard()
+    unlink_path = array._unlink_path
 
-    def counting_clean_residue(key):
-        residue.append(key)
-        clean_residue(key)
+    def counting_unlink_path(key, params):
+        if guard.held_for_reading():
+            residue.append(key)
+        unlink_path(key, params)
 
-    array._clean_residue = counting_clean_residue
+    array._unlink_path = counting_unlink_path
 
     def writer(seed):
         rng = random.Random(seed)
