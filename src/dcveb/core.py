@@ -5,8 +5,7 @@ occupancy summary word, a ``retired`` mark and an array of child slots.  The
 slots of the bottom level hold immutable ``Entry(key, value)`` objects
 instead of nodes.  A key's path through the tree is its base-n digit
 expansion, and a dict indexes every bottom-level node by its key prefix, so
-``get`` touches one node and order queries start their descent at the
-bottom.
+``get`` touches one node and order queries search the bottom level first.
 The tree grows at the top by stacking new root levels above the old root
 when a key exceeds the current capacity, and trims root levels back off when
 only the leftmost subtree remains.  At the bottom it grows by installing
@@ -29,8 +28,10 @@ Concurrency contract:
   since been retired is empty for good: a reader that finds it retired, or
   finds its slot empty, answers "absent", which held at a moment inside the
   call.  ``get`` is one index probe and one slot read, and ``delete`` starts
-  the same way; ``successor`` and ``predecessor`` start at the indexed node,
-  or at the root when the prefix has none.
+  the same way.  ``successor`` and ``predecessor`` start at the indexed node,
+  hop to the neighbouring prefix's indexed node when it has nothing on the
+  search side, and descend from the root only when the index has no node
+  for the current prefix.
 * Every write to a node (its word, its slots, its ``retired`` mark) happens
   under the node's mutex, and a writer checks ``retired`` first.  A node is
   retired under its mutex at the moment it leaves the tree: when an unlink
@@ -207,12 +208,12 @@ class DcvebArray:
     # -- queries (lock-free) ----------------------------------------------
     #
     # ``get`` reads the key's bottom node from ``_bottoms`` and one slot.
-    # ``successor`` and ``predecessor`` are one loop over child slots that
-    # starts at that node (digit shift 0), or at the root of the published
-    # params when the prefix has none, and counts the shift down to 0 at the
-    # bottom level.  A filled slot's bit is set, so only an empty slot sends
-    # them to the node's word, to move sideways; they re-read the params
-    # whenever they restart from the root.  The key check is inlined; only a
+    # ``successor`` and ``predecessor`` are one loop whose every pass starts
+    # with a bottom-level node: the one ``_bottoms`` holds for the current
+    # prefix, or, on an index miss, the one a descent from the root of the
+    # freshly read params reaches (the descent counts the digit shift down
+    # to 0).  A filled slot's bit is set, so only an empty slot sends them to
+    # the node's word, to move sideways.  The key check is inlined; only a
     # bad key or an int subclass reaches ``_check_key``.
 
     def get(self, key: int) -> Optional[Entry]:
@@ -226,111 +227,139 @@ class DcvebArray:
     def successor(self, key: int) -> Optional[Entry]:
         """Entry with the smallest key' >= key, or None.
 
-        Takes no locks.  One loop starts at ``key``'s indexed bottom node, or
-        at the root when there is none, and descends along ``key``'s filled
-        slots: an exact hit returns the entry.  At an empty slot, a node
-        whose word shows an occupied child past ``key``'s digit moves ``key``
-        sideways to that child's first key (at the bottom level, a filled
-        slot there is the answer) and the descent goes on from the same
-        node.  A node with nothing past the digit moves ``key`` past its
-        whole range, and the descent restarts from the root under fresh
-        params.  ``key`` only moves forward, and a range is skipped only when
-        a word read during the call showed it empty, so an entry that stays
-        present for the whole call cannot be missed.  Without concurrent
-        writers each restart stops at a strictly higher level: at most
-        ``height`` restarts.
+        Takes no locks.  One loop; its first step is ``key``'s indexed
+        bottom node.  There an exact hit returns the entry, and a word that
+        shows a filled slot past ``key``'s digit returns that slot's entry
+        (one read: a delete may empty it, and then ``key`` moves to that
+        slot and the node is read again).  A bottom node with nothing past
+        the digit sends ``key`` to the next prefix and looks that prefix up
+        in ``_bottoms`` (the hop).  Only when the index has no node for the
+        current prefix does the loop descend from the root of freshly read
+        params, along ``key``'s filled slots and sideways past empty ones, to
+        the bottom node it then searches the same way; a node above the
+        bottom level with nothing past the digit moves ``key`` past its whole
+        range, and the loop probes the index again, unless ``key`` has
+        passed the published size, which answers None.  ``key`` only moves
+        forward, and a range is skipped only when a word read during the call
+        showed it empty, so an entry that stays present for the whole call
+        cannot be missed: its node stays indexed under its prefix.  Without
+        concurrent writers the hop and each restart from a higher level stop
+        at strictly higher levels: at most ``height`` of them.
         """
         if type(key) is not int or key < 0 or key >= self._key_limit:
             self._check_key(key)
         n = self._n
         shift = self._shift
         mask = self._mask
-        node = self._bottoms.get(key >> shift)
-        if node is not None:
-            s = 0
-        else:
-            params = self._ap
-            if key >= params.size:
-                return None
-            s = params.top
-            node = params.root
+        bottoms = self._bottoms
+        node = bottoms.get(key >> shift)
         while True:
-            digit = (key >> s) & mask
-            child = node.children[digit]
-            if child is not None:
-                if s == 0:
+            if node is not None:  # a bottom-level node: search it
+                digit = key & mask
+                child = node.children[digit]
+                if child is not None:
                     return child
-                node = child
-                s -= shift
-                continue
-            # children past ``digit`` own the bits below its bit
-            above = node.value & ((1 << (n - 1 - digit)) - 1)
-            if above:
-                q = n - above.bit_length()
-                if s == 0 and (child := node.children[q]) is not None:
-                    return child  # one read: a delete may empty the slot
-                key = ((key >> s) - digit + q) << s
-                continue
+                # slots past ``digit`` own the bits below its bit
+                above = node.value & ((1 << (mask - digit)) - 1)
+                if above:
+                    q = n - above.bit_length()
+                    child = node.children[q]
+                    if child is not None:
+                        return child
+                    key += q - digit
+                    continue
+                s = 0  # the hop: on to the next prefix
+            else:
+                params = self._ap
+                if key >= params.size:
+                    return None
+                s = params.top
+                node = params.root
+                while s:
+                    digit = (key >> s) & mask
+                    child = node.children[digit]
+                    if child is not None:
+                        node = child
+                        s -= shift
+                        continue
+                    above = node.value & ((1 << (mask - digit)) - 1)
+                    if not above:
+                        break
+                    key = ((key >> s) - digit + n - above.bit_length()) << s
+                else:
+                    continue  # reached a bottom-level node
+            # nothing past ``digit`` at shift ``s``: skip the node's range
             if self._hooks is not None:
                 self._hooks("query-restart")
             s += shift
             key = ((key >> s) + 1) << s
-            params = self._ap
-            if key >= params.size:
+            # with no hooks, nothing since the word read is a call or a
+            # backward jump: under the GIL no thread ran in between
+            if key >= self._ap.size:
                 return None
-            s = params.top
-            node = params.root
+            node = bottoms.get(key >> shift)
 
     def predecessor(self, key: int) -> Optional[Entry]:
         """Entry with the largest key' <= key, or None.
 
-        Mirror of successor: a sideways move takes ``key`` to the last key
-        of the nearest occupied child before its digit, and a restart takes
-        it to one below the empty node's first key.  Each restart re-clamps
-        ``key`` to the freshly read size.
+        Mirror of successor: in a bottom node the nearest filled slot before
+        ``key``'s digit is the answer, the hop takes ``key`` to the last key
+        of the previous prefix, and above the bottom level a sideways move
+        takes it to the last key of the nearest occupied child before its
+        digit and a restart to one below the node's first key.  Each descent
+        from the root re-clamps ``key`` to the freshly read size.
         """
         if type(key) is not int or key < 0 or key >= self._key_limit:
             self._check_key(key)
         n = self._n
         shift = self._shift
         mask = self._mask
-        node = self._bottoms.get(key >> shift)
-        if node is not None:
-            s = 0
-        else:
-            params = self._ap
-            if key >= params.size:
-                key = params.size - 1
-            s = params.top
-            node = params.root
+        bottoms = self._bottoms
+        node = bottoms.get(key >> shift)
         while True:
-            digit = (key >> s) & mask
-            child = node.children[digit]
-            if child is not None:
-                if s == 0:
+            if node is not None:  # a bottom-level node: search it
+                digit = key & mask
+                child = node.children[digit]
+                if child is not None:
                     return child
-                node = child
-                s -= shift
-                continue
-            # children before ``digit``, nearest first from bit 0 up
-            below = node.value >> (n - digit)
-            if below:
-                q = digit - (below & -below).bit_length()
-                if s == 0 and (child := node.children[q]) is not None:
-                    return child  # one read: a delete may empty the slot
-                key = (((key >> s) - digit + q + 1) << s) - 1
-                continue
+                # slots before ``digit``, nearest first from bit 0 up
+                below = node.value >> (n - digit)
+                if below:
+                    q = digit - (below & -below).bit_length()
+                    child = node.children[q]
+                    if child is not None:
+                        return child
+                    key -= digit - q
+                    continue
+                s = 0  # the hop: on to the previous prefix
+            else:
+                params = self._ap
+                if key >= params.size:
+                    key = params.size - 1
+                s = params.top
+                node = params.root
+                while s:
+                    digit = (key >> s) & mask
+                    child = node.children[digit]
+                    if child is not None:
+                        node = child
+                        s -= shift
+                        continue
+                    below = node.value >> (n - digit)
+                    if not below:
+                        break
+                    q = digit - (below & -below).bit_length()
+                    key = (((key >> s) - digit + q + 1) << s) - 1
+                else:
+                    continue  # reached a bottom-level node
+            # nothing before ``digit`` at shift ``s``: skip the node's range
             if self._hooks is not None:
                 self._hooks("query-restart")
             s += shift
             key = ((key >> s) << s) - 1
             if key < 0:
                 return None
-            params = self._ap
-            if key >= params.size:
-                key = params.size - 1
-            s = params.top
-            node = params.root
+            node = bottoms.get(key >> shift)
 
     def minimum(self) -> Optional[Entry]:
         return self.successor(0)
@@ -350,7 +379,9 @@ class DcvebArray:
         unretired one stays reachable from the published root while the
         mutex is held.  The unlocked read only keeps empty nodes, which an
         unlink pass or a growth may be about to remove, on the descent.  This
-        path takes no guard and fires no hook.
+        path takes no guard and fires no hook; it takes the mutex with
+        ``acquire`` and releases it in ``finally``, which costs less than
+        ``with``.  Both paths build the ``Entry`` with ``tuple.__new__``.
 
         Otherwise (no item, an empty node or a retired one) the root
         guard's read lock spans the rest of the call, and every publish
@@ -368,19 +399,24 @@ class DcvebArray:
             self._check_key(key)
         if value is None:
             raise ValueError("value must not be None (None marks vacant slots)")
-        entry = Entry(key, value)
+        # ``Entry(key, value)`` would run the NamedTuple's Python __new__
+        entry = tuple.__new__(Entry, (key, value))
         shift = self._shift
         mask = self._mask
         node = self._bottoms.get(key >> shift)
         if node is not None and node.value:
             # an unretired node stays in the tree while its mutex is held:
             # no guard, no descent
-            with node._mutex:
+            lock = node._mutex
+            lock.acquire()
+            try:
                 if not node.retired:
                     digit = key & mask
                     node.value |= 1 << (mask - digit)
                     node.children[digit] = entry
                     return
+            finally:
+                lock.release()
         ap_lock = self._ap_lock
         while True:
             ap_lock.acquire_read()

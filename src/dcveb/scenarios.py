@@ -70,19 +70,29 @@ def _run_pair(a, b) -> list[str]:
 
 class RunOnEnter:
     """Stand-in for a node's mutex that runs ``action`` once, on the first
-    ``with`` entry (an insert's ``cas_child`` or entry store, through the
-    index or at the end of a descent, or a delete's slot clear), before
-    taking the real lock."""
+    ``with`` entry or ``acquire`` call (an insert's ``cas_child``, its entry
+    store through the index or at the end of a descent, or a delete's slot
+    clear), before taking the real lock."""
 
     def __init__(self, lock, action):
         self._lock = lock
         self._action = action
         self.locked = lock.locked
 
-    def __enter__(self):
+    def _run_action(self):
         action, self._action = self._action, None
         if action is not None:
             action()
+
+    def acquire(self, *args):
+        self._run_action()
+        return self._lock.acquire(*args)
+
+    def release(self):
+        self._lock.release()
+
+    def __enter__(self):
+        self._run_action()
         return self._lock.__enter__()
 
     def __exit__(self, *exc):

@@ -126,6 +126,18 @@ class TestInsertGet:
             assert array.get(key) == Entry(key, key)
         assert array.get(2**30) == Entry(2**30, "big")
 
+    def test_stored_entries_are_entry_instances(self):
+        # 130 descends and installs its bottom node; 131 stores through the
+        # index into that node.  Both slots hold real ``Entry`` tuples.
+        array = make_array()
+        array.insert(130, "descent")
+        array.insert(131, "index")
+        for key, value in ((130, "descent"), (131, "index")):
+            entry = array.get(key)
+            assert type(entry) is Entry
+            assert entry.key == key and entry.value == value
+            assert entry == Entry(key, value)
+
     def test_growth_height_for_max_int31(self):
         array = make_array()
         array.insert(2**31 - 1, "edge")
@@ -383,6 +395,52 @@ def test_queries_on_filled_slots_read_no_summary_word(branching):
     finally:
         for node, word in words:
             node.value = word
+    assert quiescent_walk(array).ok()
+
+
+class _SizeOnly:
+    """Published params that give their size and fail on any other read,
+    the root and its shift included."""
+
+    def __init__(self, size):
+        self.size = size
+
+    def __getattr__(self, name):
+        raise AssertionError("a query read the params' %s" % name)
+
+
+def test_dense_order_queries_hop_without_the_root():
+    # Every prefix of a fanout-64, height-2 tree is indexed, so successor
+    # just past a bottom node's last entry and predecessor just before its
+    # first hop to the neighbouring indexed node and never descend from the
+    # root.  (A successor's hop checks the size first.)
+    hops = [0]
+
+    def hooks(point):
+        if point == "query-restart":
+            hops[0] += 1
+
+    array = DcvebArray(branching=64, key_bits=12, hooks=hooks)
+    for prefix in range(64):
+        array.insert(prefix * 64 + 5, prefix)
+        array.insert(prefix * 64 + 40, prefix)
+    params = array._ap
+    array._ap = _SizeOnly(params.size)
+    try:
+        for prefix in range(64):
+            base = prefix * 64
+            if prefix < 63:
+                hops[0] = 0
+                assert array.successor(base + 41) == Entry(base + 69, prefix + 1)
+                assert hops[0] == 1
+            if prefix > 0:
+                hops[0] = 0
+                assert array.predecessor(base + 4) == Entry(base - 24, prefix - 1)
+                assert hops[0] == 1
+            assert array.successor(base + 6) == Entry(base + 40, prefix)
+            assert array.predecessor(base + 39) == Entry(base + 5, prefix)
+    finally:
+        array._ap = params
     assert quiescent_walk(array).ok()
 
 

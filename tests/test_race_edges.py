@@ -345,6 +345,70 @@ def test_raising_hook_leaks_no_lock(point, assert_no_lock_held):
     assert_no_lock_held(array)
 
 
+class _FailingSlots(list):
+    """A node's slot list whose stores raise."""
+
+    def __setitem__(self, index, value):
+        raise RuntimeError("injected slot store failure")
+
+
+def test_index_hit_store_leaks_no_mutex(assert_no_lock_held):
+    # insert(131) stores through the index into the node holding 130, and
+    # its slot store raises inside the critical section.  The node's mutex
+    # must be released on the way out, so the next insert into that node
+    # goes through.
+    points = []
+    array = DcvebArray(branching=64, hooks=points.append)
+    array.insert(130, "keep")
+    node = array._bottoms[2]
+    node.children = _FailingSlots(node.children)
+    points.clear()
+    with pytest.raises(RuntimeError):
+        array.insert(131, "lost")
+    assert points == []  # the index path: no guard, no descent, no hook
+    assert not node._mutex.locked()
+    assert_no_lock_held(array)
+    node.children = list(node.children)
+    points.clear()  # the walk's own queries fire ``query-restart``
+    array.insert(131, "landed")
+    assert points == []
+    assert array.get(131) == Entry(131, "landed")
+    assert array.get(130) == Entry(130, "keep")
+    assert quiescent_walk(array).ok()
+    assert_no_lock_held(array)
+
+
+@pytest.mark.parametrize("query", ["successor", "predecessor"])
+def test_hop_that_misses_the_index_descends_from_the_root(query):
+    # The query finds nothing on its search side in its own bottom node and
+    # hops to the neighbouring prefix.  Before the hop's index probe, a
+    # delete removes that neighbour's only entry, which unlinks and
+    # de-indexes its node.  The hop misses, descends from the root, and
+    # returns the next live entry beyond the emptied prefix.
+    armed = [False]
+    fired = []
+
+    def hooks(point):
+        if point == "query-restart" and armed[0]:
+            armed[0] = False
+            fired.append(point)
+            array.delete(neighbour)
+
+    array = DcvebArray(branching=64, key_bits=12, hooks=hooks)
+    if query == "successor":
+        keys, neighbour, start, expected = (5, 70, 200), 70, 6, 200
+    else:
+        keys, neighbour, start, expected = (5, 130, 200), 130, 199, 5
+    for key in keys:
+        array.insert(key, key)
+    assert neighbour >> 6 in array._bottoms
+    armed[0] = True
+    assert getattr(array, query)(start) == Entry(expected, expected)
+    assert fired == ["query-restart"]
+    assert neighbour >> 6 not in array._bottoms
+    assert quiescent_walk(array).ok()
+
+
 def test_insert_restarts_when_its_bottom_node_is_unlinked():
     # insert(131) finds the node holding 130 through the index and, before
     # it takes that node's mutex, delete(130) empties the node, unlinks it
