@@ -19,19 +19,18 @@ Concurrency contract:
   slot before it clears the bit, so a filled slot always has its bit set:
   queries read slots first, and a word only to move past an empty slot.
 * ``_bottoms`` maps each prefix ``key >> shift`` to the bottom-level node
-  that covers it.  An insert that descends writes the item under the bottom
-  node's mutex, after the ``retired`` check and before the bit and entry
-  stores (one that stores through the index finds it written); the item
-  is removed in the critical section that unlinks that node (a delete's
-  unlink pass) or drops it (a growth over an empty height-1 root).  So a
-  node holding an entry is always indexed, and an indexed node that has
-  since been retired is empty for good: a reader that finds it retired, or
-  finds its slot empty, answers "absent", which held at a moment inside the
-  call.  ``get`` is one index probe and one slot read, and ``delete`` starts
-  the same way.  ``successor`` and ``predecessor`` start at the indexed node,
-  hop to the neighbouring prefix's indexed node when it has nothing on the
-  search side, and descend from the root only when the index has no node
-  for the current prefix.
+  that covers it.  Every insert writes the item under the bottom node's
+  mutex, after the ``retired`` check and before the bit and entry stores;
+  the item is removed in the critical section that unlinks that node (a
+  delete's unlink pass) or drops it (a growth over an empty height-1
+  root).  So a node holding an entry is always indexed, and an indexed node
+  that has since been retired is empty for good: a reader that finds it
+  retired, or finds its slot empty, answers "absent", which held at a
+  moment inside the call.  ``get`` is one index probe and one slot read, and
+  ``delete`` starts the same way.  ``successor`` and ``predecessor`` start
+  at the indexed node, hop to the neighbouring prefix's indexed node when it
+  has nothing on the search side, and descend from the root only when the
+  index has no node for the current prefix.
 * Every write to a node (its word, its slots, its ``retired`` mark) happens
   under the node's mutex, and a writer checks ``retired`` first.  A node is
   retired under its mutex at the moment it leaves the tree: when an unlink
@@ -41,17 +40,15 @@ Concurrency contract:
 * The published parameters (size, height, root) change only under the
   root guard's write lock plus the old root's mutex: a growth and a trim
   are the only publishers, and each stores the new parameters plainly.
-* ``insert`` first probes ``_bottoms``.  If the indexed node holds an
-  entry (an unlocked read), the insert takes that node's mutex, re-checks
-  that the node is unretired, the check every writer makes, and stores its
-  bit and entry: an unretired node stays reachable while its mutex is
-  held.  Any other insert (a miss, an empty node, a retired one) holds the
-  root guard's read lock for the rest of the call, so its snapshotted root
-  stays published.  It descends without locks, installs a missing child
-  with ``Node.cas_child`` and stores its entry under the bottom node's
-  mutex; a retired node sends it back to the same root.  A key beyond the
-  current capacity makes it take the guard exclusively to grow the tree
-  first, while it holds no other lock.
+* ``insert`` ends in one store under its bottom node's mutex: the node
+  ``_bottoms`` indexes or, on a miss, the one a descent reaches.  It
+  re-checks there that the node is unretired, so the node stays reachable
+  while the mutex is held; a retired node sends it to the descent.  Only
+  the descent holds the root guard's read lock, so its snapshotted root
+  stays published.  It installs a missing child with ``Node.cas_child``
+  and restarts from the same root at a retired node.  A key beyond the
+  capacity makes it take the guard exclusively to grow the tree first,
+  while it holds no other lock.
 * ``delete`` probes ``_bottoms`` and empties the entry's slot under the
   indexed node's mutex; a miss, a retired node or an empty slot ends it.
   A node that keeps another entry ends it too, with no params read and no
@@ -63,10 +60,9 @@ Concurrency contract:
   the pass, it runs once more under the root guard's read lock.  The
   delete takes the guard exclusively only while trimming.
 * The guard is always taken before any node mutex: no writer holds a node
-  mutex while it takes the guard.  An insert that stores through the index
-  and a delete that keeps its node non-empty hold one node mutex and no
-  guard.  An insert holds at most one node mutex, and no operation holds
-  more than two.
+  mutex while it takes the guard.  An insert's store and a delete that
+  keeps its node non-empty hold one node mutex and no guard.  An insert
+  holds one lock at a time, and no operation holds more than two.
 
 Nodes detached from the tree stay readable by threads that still hold
 references (reclamation is deferred to the garbage collector), which is what
@@ -82,7 +78,7 @@ from .bitops import (
     # unused here: an insert ORs its bit in under the node's mutex, and the
     # order queries find the nearest occupied child with inline masks.  The
     # per-layer tracer patches these three names in this module, so they
-    # stay until the tracer learns the new shape (ROADMAP item 2).
+    # stay until the tracer learns the new shape (ROADMAP item 3).
     atomic_set_child,  # noqa: F401
     max_child_below,  # noqa: F401
     min_child_above,  # noqa: F401
@@ -372,28 +368,15 @@ class DcvebArray:
     def insert(self, key: int, value: Any) -> None:
         """Store ``value`` under ``key``, overwriting any entry there.
 
-        When ``_bottoms`` indexes ``key``'s bottom node and an unlocked read
-        shows that node holding an entry, the store is made under the node's
-        mutex alone, once the node is re-checked there to be unretired: every
-        node is retired under its mutex as it leaves the tree, so an
-        unretired one stays reachable from the published root while the
-        mutex is held.  The unlocked read only keeps empty nodes, which an
-        unlink pass or a growth may be about to remove, on the descent.  This
-        path takes no guard and fires no hook; it takes the mutex with
-        ``acquire`` and releases it in ``finally``, which costs less than
-        ``with``.  Both paths build the ``Entry`` with ``tuple.__new__``.
-
-        Otherwise (no item, an empty node or a retired one) the root
-        guard's read lock spans the rest of the call, and every publish
-        takes the guard's write lock, so the root snapshotted here stays the
-        published one: it is never retired under this call.  The descent
-        reads slots without locks.  It installs a missing child with
-        ``cas_child`` and, under the bottom node's mutex, indexes that node
-        and stores the entry, bit first.  A node found retired under its
-        mutex has left the tree, so the descent restarts from the same root;
-        an unretired one is still reachable from it.  A key beyond the
-        capacity releases the guard and grows the tree first, while this
-        thread holds no lock.
+        One store, under the mutex of ``key``'s bottom node: the node
+        ``_bottoms`` indexes or, on a miss, the one ``_descend`` reaches.  It
+        re-checks there that the node is unretired, then writes the index
+        item, the bit and the entry.  Every node is retired under its mutex
+        as it leaves the tree, so an unretired one stays reachable from the
+        published root while the mutex is held; a retired one sends the
+        insert to ``_descend``.  The store takes no guard and fires no hook.
+        It takes the mutex with ``acquire`` and releases it in ``finally``,
+        which costs less than ``with``.
         """
         if type(key) is not int or key < 0 or key >= self._key_limit:
             self._check_key(key)
@@ -401,22 +384,40 @@ class DcvebArray:
             raise ValueError("value must not be None (None marks vacant slots)")
         # ``Entry(key, value)`` would run the NamedTuple's Python __new__
         entry = tuple.__new__(Entry, (key, value))
-        shift = self._shift
         mask = self._mask
-        node = self._bottoms.get(key >> shift)
-        if node is not None and node.value:
-            # an unretired node stays in the tree while its mutex is held:
-            # no guard, no descent
+        prefix = key >> self._shift
+        node = self._bottoms.get(prefix)
+        while True:
+            if node is None:
+                node = self._descend(key)
             lock = node._mutex
             lock.acquire()
             try:
                 if not node.retired:
+                    # index, then bit, then slot; one reference store
+                    # publishes the entry
+                    self._bottoms[prefix] = node
                     digit = key & mask
                     node.value |= 1 << (mask - digit)
                     node.children[digit] = entry
                     return
             finally:
                 lock.release()
+            node = None
+
+    def _descend(self, key: int) -> Node:
+        """Return ``key``'s bottom node, installing missing nodes on its path.
+
+        Holds the root guard's read lock, so the root snapshotted here stays
+        published: every publish takes the guard's write lock.  It reads
+        slots without locks and installs a missing child with ``cas_child``;
+        a node ``cas_child`` finds retired has left the tree, so the descent
+        restarts from the same root.  A key beyond the capacity releases the
+        guard and grows the tree first, while this thread holds no lock.
+        """
+        n = self._n
+        shift = self._shift
+        mask = self._mask
         ap_lock = self._ap_lock
         while True:
             ap_lock.acquire_read()
@@ -425,7 +426,6 @@ class DcvebArray:
                 if self._hooks is not None:
                     self._hooks("insert-snapshot")
                 if key < params.size:
-                    n = self._n
                     while True:  # one pass per descent from the root
                         s = params.top
                         node = params.root
@@ -439,15 +439,7 @@ class DcvebArray:
                             node = child
                             s -= shift
                         else:
-                            digit = key & mask
-                            with node._mutex:
-                                if not node.retired:
-                                    # index, then bit, then slot; one
-                                    # reference store publishes the entry
-                                    self._bottoms[key >> shift] = node
-                                    node.value |= 1 << (n - 1 - digit)
-                                    node.children[digit] = entry
-                                    return
+                            return node
             finally:
                 ap_lock.release_read()
             self._grow(key)
@@ -455,14 +447,14 @@ class DcvebArray:
     def _grow(self, key: int) -> None:
         """Publish a tree tall enough for ``key``, unless one already is.
 
-        Runs under the root guard's write lock, so no insert that descends
-        is running, and the old root's mutex, so no writer can change its
-        word meanwhile; an insert through the index that takes that mutex
-        afterwards finds a dropped root retired.  A non-empty old root
-        becomes child 0 of a chain of new levels; the old tree is not
+        Runs under the root guard's write lock, so it waits only for inserts
+        still descending, not for their stores, and the old root's mutex, so
+        no writer can change the root's word meanwhile.  A non-empty old
+        root becomes child 0 of a chain of new levels; the old tree is not
         reorganized.  An empty old root is dropped (retired) for one fresh
         empty root instead, so growth never leaves an all-zeros spine
-        behind; a dropped height-1 root also leaves ``_bottoms``.
+        behind; a dropped height-1 root also leaves ``_bottoms``, and an
+        insert whose store takes its mutex afterwards descends again.
         """
         ap_lock = self._ap_lock
         ap_lock.acquire_write()

@@ -22,8 +22,6 @@ from .core import Entry
 # ("get", key), ("successor", key), ("predecessor", key), ("minimum",),
 # ("maximum",).  Queries return Entry or None; mutators return None.
 
-OP_NAMES = ("insert", "delete", "get", "successor", "predecessor", "minimum", "maximum")
-
 
 class OracleMap:
     """Mutable ordered map over non-negative integer keys."""
@@ -84,25 +82,6 @@ class OracleMap:
 
     def items(self) -> list[Entry]:
         return [Entry(k, self._values[k]) for k in self._keys]
-
-    def apply(self, op: tuple):
-        """Dispatch a tagged-tuple op against this map."""
-        name = op[0]
-        if name == "insert":
-            return self.insert(op[1], op[2])
-        if name == "delete":
-            return self.delete(op[1])
-        if name == "get":
-            return self.get(op[1])
-        if name == "successor":
-            return self.successor(op[1])
-        if name == "predecessor":
-            return self.predecessor(op[1])
-        if name == "minimum":
-            return self.minimum()
-        if name == "maximum":
-            return self.maximum()
-        raise ValueError("unknown op %r" % (name,))
 
 
 # Immutable state for the checker: a tuple of (key, value) pairs sorted by key.

@@ -1,13 +1,14 @@
 """Fair readers-writer lock: the tree's published-parameters guard.
 
-Inserts that descend and a delete's guarded second unlink pass hold it
-shared; growths and trims hold it exclusively to publish.  Admission is FIFO
-by arrival group: consecutive readers are batched into one group and
-admitted together; a writer forms its own group.  A reader arriving while
-any group is queued (i.e. a writer is waiting) queues behind it, so neither
-side can starve the other.  This starvation freedom is a progress
-requirement for the tree operations built on top, not an optimization: a
-stream of inserts cannot hold a growth or a trim off for ever.
+An insert's descent (never its store, which takes only the bottom node's
+mutex) and a delete's guarded second unlink pass hold it shared; growths
+and trims hold it exclusively to publish.  Admission is FIFO by arrival
+group: consecutive readers are batched into one group and admitted
+together; a writer forms its own group.  A reader arriving while any group
+is queued (i.e. a writer is waiting) queues behind it, so neither side can
+starve the other.  This starvation freedom is a progress requirement for
+the tree operations built on top, not an optimization: a stream of
+descending inserts cannot hold a growth or a trim off for ever.
 
 Waiting groups park on their own Event, so an admission wakes exactly the
 admitted group, and the uncontended paths cost one plain mutex acquisition.

@@ -1,20 +1,20 @@
 """Scripted race reproductions and stress workloads.
 
 The scripted scenarios drive two threads through the exact interleavings the
-design has to survive: an insert holding the root guard shared while a trim
-tries to pop its root, or while a growth waits to stack levels above it; an
-insert about to store into a bottom node that a delete empties and unlinks,
-so the insert's re-check fails and it descends; and a delete that has
+design has to survive: a descending insert holding the root guard shared
+while a trim tries to pop its root; an insert about to store into a bottom
+node that a delete empties and unlinks, or into an empty root that a growth
+drops, so the insert's re-check fails and it descends; and a delete that has
 emptied its bottom node and read the parameters when the tree grows above
 them, so its unlink pass leaves a stale occupancy bit for its guarded second
 pass.  A delete reaches its node through the bottom-node index and reads the
 parameters only once it has emptied that node, so ``delete-cleared`` (after
 that read) is the point where a growth can outrun it.  Test hooks compiled
 into the array (no-ops by default) and :class:`RunOnEnter` stand-ins for a
-node's mutex provide the pause points.  An insert into a live indexed bottom
-node fires no hook (it takes neither the guard nor a descent), so it is
-paused with :class:`RunOnEnter` on that node's mutex; ``insert-snapshot``
-fires only on the guarded descent.
+node's mutex provide the pause points.  Every insert ends in one store under
+its bottom node's mutex, which fires no hook, so a store is paused with
+:class:`RunOnEnter` on that mutex; ``insert-snapshot`` fires only on the
+guarded descent.  A scenario whose pause never fires reports a failure.
 The stress workloads run on the benchmark's thread driver
 (``bench.run_workload``) and share its failure policy.
 """
@@ -70,9 +70,8 @@ def _run_pair(a, b) -> list[str]:
 
 class RunOnEnter:
     """Stand-in for a node's mutex that runs ``action`` once, on the first
-    ``with`` entry or ``acquire`` call (an insert's ``cas_child``, its entry
-    store through the index or at the end of a descent, or a delete's slot
-    clear), before taking the real lock."""
+    ``with`` entry or ``acquire`` call (an insert's ``cas_child`` or its
+    entry store, or a delete's slot clear), before taking the real lock."""
 
     def __init__(self, lock, action):
         self._lock = lock
@@ -100,11 +99,11 @@ class RunOnEnter:
 
 
 def _insert_vs_trim() -> list[str]:
-    """An insert snapshots the parameters, then a delete empties everything
-    outside child 0 and tries to trim the root.  The insert holds the guard's
-    read lock for its whole call, so the trim waits until the insert has
-    stored its entry, and the trim's re-check must then see the insert's bit
-    and abort."""
+    """An insert snapshots the parameters on its descent, then a delete
+    empties everything outside child 0 and tries to trim the root.  The
+    descent holds the guard's read lock until it has installed root child 2,
+    so the trim waits for it, and the trim's re-check must then see that
+    child's bit and abort."""
     in_window = threading.Event()
     armed = [False]
 
@@ -128,6 +127,8 @@ def _insert_vs_trim() -> list[str]:
         array.delete(70)  # leaves only child 0 occupied -> triggers the trim
 
     problems = _run_pair(inserter, deleter)
+    if not in_window.is_set():
+        problems.append("insert never paused at its snapshot")
     entry = array.get(130)
     if entry is None or entry.value != "landed":
         problems.append("insert lost: get(130) = %r" % (entry,))
@@ -141,39 +142,42 @@ def _insert_vs_trim() -> list[str]:
     return problems
 
 
-def _grow_waits_for_pin() -> list[str]:
-    """An insert snapshots the parameters of an empty tree, then another
-    insert needs a taller tree.  The growth must wait for the root guard
-    until the first insert has stored its entry in the root, and then adopt
-    that root as child 0 rather than drop it as empty."""
+def _insert_vs_grow_drop() -> list[str]:
+    """An insert finds the empty root of a fresh tree through the index and
+    parks before taking its mutex; another insert then needs a taller tree,
+    and its growth drops that empty root and retires it.  The resumed insert
+    must fail its re-check and descend into the new tree: no insert is
+    lost."""
     in_window = threading.Event()
-    armed = [False]
-
-    def hooks(point):
-        if point == "insert-snapshot" and armed[0]:
-            armed[0] = False
-            in_window.set()
-            # parked holding the guard read lock: give the growth time to block
-            time.sleep(0.0005)
-
-    array = DcvebArray(branching=4, key_bits=4, hooks=hooks)
+    resume = threading.Event()
+    array = DcvebArray(branching=4, key_bits=4)
     original_root = array._params().root
-    armed[0] = True
 
-    def pinner():
-        array.insert(1, "pinned")
+    def park():
+        in_window.set()
+        resume.wait(5)
+
+    original_root._mutex = RunOnEnter(original_root._mutex, park)
+
+    def parked():
+        array.insert(1, "parked")
 
     def grower():
         in_window.wait(5)
-        array.insert(5, "grown")  # height 1 -> 2
+        try:
+            array.insert(5, "grown")  # height 1 -> 2
+        finally:
+            resume.set()
 
-    problems = _run_pair(pinner, grower)
-    for key, value in ((1, "pinned"), (5, "grown")):
+    problems = _run_pair(parked, grower)
+    if not in_window.is_set():
+        problems.append("insert never paused on the root's mutex")
+    for key, value in ((1, "parked"), (5, "grown")):
         entry = array.get(key)
         if entry is None or entry.value != value:
             problems.append("insert lost: get(%d) = %r" % (key, entry))
-    if array._params().root.children[0] is not original_root:
-        problems.append("growth did not adopt the pinned root")
+    if not original_root.retired or array._params().root is original_root:
+        problems.append("growth did not drop the empty root")
     report = quiescent_walk(array)
     if report.violations:
         problems.append("walk violations: %r" % (report.violations,))
@@ -209,6 +213,8 @@ def _insert_vs_unlink() -> list[str]:
             resume.set()
 
     problems = _run_pair(inserter, deleter)
+    if not in_window.is_set():
+        problems.append("insert never paused on its node's mutex")
     entry = array.get(131)
     if entry is None or entry.value != "landed":
         problems.append("insert lost: get(131) = %r" % (entry,))
@@ -309,7 +315,7 @@ def _two_inserters_one_parent() -> list[str]:
 
 _SCENARIOS = {
     "insert-vs-trim": _insert_vs_trim,
-    "grow-waits-for-pin": _grow_waits_for_pin,
+    "insert-vs-grow-drop": _insert_vs_grow_drop,
     "insert-vs-unlink": _insert_vs_unlink,
     "grow-vs-delete-residue": _grow_vs_delete_residue,
     "two-inserters-one-parent": _two_inserters_one_parent,

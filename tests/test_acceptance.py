@@ -213,7 +213,7 @@ def test_memory_bound():
 def test_scripted_races():
     details = []
     ok = True
-    for name in ("insert-vs-trim", "grow-waits-for-pin", "insert-vs-unlink",
+    for name in ("insert-vs-trim", "insert-vs-grow-drop", "insert-vs-unlink",
                  "grow-vs-delete-residue", "two-inserters-one-parent"):
         report = run_scenario(name, iterations=1000)
         ok = ok and report.passed

@@ -209,54 +209,73 @@ def test_stale_trail_delete_after_overwrite_removes_key():
     assert quiescent_walk(array).ok()
 
 
-def _start_grower(array, growers):
-    """Start insert(5), which must grow the fanout-4 tree, in a daemon
+def _start_grower(array, growers, key=5):
+    """Start insert(key), which must grow the fanout-4 tree, in a daemon
     thread and give it 0.2 s to finish."""
-    grower = threading.Thread(target=array.insert, args=(5, 5), daemon=True)
+    grower = threading.Thread(target=array.insert, args=(key, key), daemon=True)
     grower.start()
     grower.join(0.2)
     growers.append(grower)
 
 
-def _assert_growth_waited_and_adopted(array, original_root, growers):
-    assert growers[0].is_alive(), "growth published inside the pinned window"
-    growers[0].join(10)
-    assert not growers[0].is_alive()
-    assert array.get(1) == Entry(1, 1)
-    assert array.get(5) == Entry(5, 5)
-    assert array._params().root.children[0] is original_root
-    assert quiescent_walk(array).ok()
-
-
 def test_insert_survives_growth_cleanup_of_its_root():
-    # insert(1) pauses after snapshotting the parameters of the empty
-    # fanout-4 tree, holding the root guard's read lock.  The growth started
-    # from the pause waits for the guard until insert(1) has stored its
-    # entry and returned; it then adopts that root instead of dropping it as
-    # empty.
-    growers = []
-    hooks, armed, _ = _run_once_at("insert-snapshot",
-                                   lambda: _start_grower(array, growers))
-    array = DcvebArray(branching=4, key_bits=4, hooks=hooks)
-    original_root = array._params().root
-    armed[0] = True
-    array.insert(1, 1)
-    _assert_growth_waited_and_adopted(array, original_root, growers)
-
-
-def test_growth_waits_for_pinned_insert_to_set_its_bit():
-    # insert(1) has descended to the empty root, holding the guard's read
-    # lock, and is about to take the root's mutex to set its bit and store
-    # its entry.  A growth started there must wait for the guard until the
-    # insert returns: judging the root empty before the bit lands would drop
-    # it with the insert inside.
+    # insert(1) finds the empty root of a fresh fanout-4 tree through the
+    # index and parks on entering its mutex, holding no guard.  The growth
+    # started in the pause is not held off: it finds the root empty, drops
+    # it and retires it.  The parked insert's re-check finds the root
+    # retired, so it descends into the new tree: no insert is lost.
     array = DcvebArray(branching=4, key_bits=4)
     original_root = array._params().root
     growers = []
-    original_root._mutex = RunOnEnter(original_root._mutex,
-                                      lambda: _start_grower(array, growers))
+    parked = []
+
+    def grow():
+        _start_grower(array, growers)
+        parked.append(growers[0].is_alive())
+
+    original_root._mutex = RunOnEnter(original_root._mutex, grow)
     array.insert(1, 1)
-    _assert_growth_waited_and_adopted(array, original_root, growers)
+    assert parked == [False], "growth waited for the parked insert"
+    assert original_root.retired and original_root.children[1] is None
+    params = array._params()
+    assert params.height == 2 and params.root is not original_root
+    assert array._bottoms[0] is params.root.children[0]
+    for key in (1, 5):
+        assert array.get(key) == Entry(key, key)
+    assert quiescent_walk(array).ok()
+
+
+def test_growth_waits_for_a_descending_insert_and_adopts_its_root():
+    # The height-2 root of a fanout-4 tree is empty and nothing is indexed,
+    # so insert(1) descends.  A growth started at its snapshot, while it
+    # holds the root guard's read lock, waits for the guard.  The descent
+    # installs root child 0 before it releases the guard, so the growth
+    # then finds the root non-empty and adopts it as child 0 instead of
+    # dropping it with the insert's node inside.
+    growers = []
+    waited = []
+
+    def grow():
+        _start_grower(array, growers, 20)
+        waited.append(growers[0].is_alive())
+
+    hooks, armed, _ = _run_once_at("insert-snapshot", grow)
+    array = DcvebArray(branching=4, key_bits=6, hooks=hooks)
+    array.insert(5, 5)
+    array.delete(5)
+    original_root = array._params().root
+    assert original_root.value == 0 and array._bottoms == {}
+    armed[0] = True
+    array.insert(1, 1)
+    assert waited == [True], "growth published inside the descent"
+    growers[0].join(10)
+    assert not growers[0].is_alive()
+    params = array._params()
+    assert params.height == 3 and params.root.children[0] is original_root
+    assert not original_root.retired
+    assert array.get(1) == Entry(1, 1)
+    assert array.get(20) == Entry(20, 20)
+    assert quiescent_walk(array).ok()
 
 
 def test_delete_lands_on_reused_parent_node():
@@ -585,35 +604,75 @@ def test_delete_that_keeps_its_node_non_empty_touches_only_its_slot():
 
 
 def test_insert_indexes_its_bottom_node_before_the_bit_and_entry_stores():
-    # An insert that descends writes the index item under the bottom node's
-    # mutex, before the bit and the entry: a node that holds an entry is
-    # always indexed, and a node that a delete unlinks can have no item
-    # written after the unlink.  An insert into a live indexed node writes
-    # no item, takes no guard and fires no hook.
+    # Every insert writes the index item under the bottom node's mutex,
+    # after the retired check and before the bit and the entry: a node that
+    # holds an entry is always indexed, and a node that a delete unlinks can
+    # have no item written after the unlink.  That holds for a node the
+    # descent reaches and for one found through the index, which takes no
+    # guard and fires no hook, an empty one included.
     seen = []
     points = []
 
     class SpyIndex(dict):
         def __setitem__(self, prefix, node):
             seen.append((prefix, node._mutex.locked(), node.retired,
-                         node.value, node.children[8]))
+                         node.value, list(node.children)))
             super().__setitem__(prefix, node)
 
     array = DcvebArray(branching=64, hooks=points.append)
-    array.insert(130, "a")
     array._bottoms = SpyIndex(array._bottoms)
     guard = array._ap_lock = _SpyGuard()
-    array.insert(200, "b")  # prefix 3: a fresh bottom node, by the descent
+    root = array._params().root
+    array.insert(5, "a")  # the fresh, empty root: through the index
+    assert seen == [(0, True, False, 0, [None] * 64)]
+    assert (guard.acquires, points) == ([], [])
+    array.insert(130, "b")  # height 2; the root holding 5 is adopted
+    assert array._params().root.children[0] is root
+    seen.clear()
+    array.insert(200, "c")  # prefix 3: a fresh bottom node, by the descent
     node = array._params().root.children[3]
-    assert seen == [(3, True, False, 0, None)]
+    assert seen == [(3, True, False, 0, [None] * 64)]
     assert array._bottoms[3] is node
-    assert array.get(200) == Entry(200, "b")
+    assert array.get(200) == Entry(200, "c")
+    node = array._bottoms[2]
+    word, slots = node.value, list(node.children)
     seen.clear()
     guard.acquires.clear()
     points.clear()
-    array.insert(131, "c")  # prefix 2 holds 130: through the index
-    assert (seen, guard.acquires, points) == ([], [], [])
-    assert array.get(131) == Entry(131, "c")
+    array.insert(131, "d")  # prefix 2 holds 130: through the index
+    assert seen == [(2, True, False, word, slots)]
+    assert (guard.acquires, points) == ([], [])
+    assert array.get(131) == Entry(131, "d")
+
+
+def test_insert_into_an_emptied_node_keeps_it_linked():
+    # delete(130) empties the bottom node of prefix 2 and pauses at
+    # ``delete-cleared``, before its unlink pass.  In the pause insert(131)
+    # stores into that still-linked, indexed, empty node through the index,
+    # with no guard and no hook.  The resumed unlink pass finds the node
+    # non-empty under its mutex and leaves it linked and indexed.
+    def refill():
+        assert node.value == 0 and not node.retired
+        mark = len(points)
+        array.insert(131, "landed")
+        assert points[mark:] == [] and guard.acquires == []
+
+    hooks, armed, points = _run_once_at("delete-cleared", refill)
+    array = DcvebArray(branching=64, hooks=hooks)
+    array.insert(5, 5)
+    array.insert(130, "drop")  # height 2; root children {0, 2}
+    node = array._bottoms[2]
+    guard = array._ap_lock = _SpyGuard()
+    armed[0] = True
+    array.delete(130)
+    assert not armed[0]
+    assert guard.acquires == []
+    assert array._params().root.children[2] is node and not node.retired
+    assert array._bottoms[2] is node
+    assert array.get(131) == Entry(131, "landed")
+    assert array.get(130) is None
+    assert array.get(5) == Entry(5, 5)
+    assert quiescent_walk(array).ok()
 
 
 def test_restarted_insert_leaves_the_fresh_node_indexed():

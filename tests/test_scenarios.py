@@ -14,7 +14,7 @@ from dcveb.walker import structure_fingerprint
 def test_scenario_registry():
     assert scenario_names() == [
         "grow-vs-delete-residue",
-        "grow-waits-for-pin",
+        "insert-vs-grow-drop",
         "insert-vs-trim",
         "insert-vs-unlink",
         "two-inserters-one-parent",
@@ -23,7 +23,7 @@ def test_scenario_registry():
         run_scenario("no-such-scenario")
 
 
-@pytest.mark.parametrize("name", ["insert-vs-trim", "grow-waits-for-pin",
+@pytest.mark.parametrize("name", ["insert-vs-trim", "insert-vs-grow-drop",
                                   "insert-vs-unlink", "grow-vs-delete-residue",
                                   "two-inserters-one-parent"])
 def test_scenarios_pass_repeatedly(name):
