@@ -67,6 +67,10 @@ Concurrency contract:
 Nodes detached from the tree stay readable by threads that still hold
 references (reclamation is deferred to the garbage collector), which is what
 lets the query paths run unlocked.
+
+Operations read a node's ``_mutex``, ``_ap_lock``, ``_bottoms`` and the
+helper methods through attributes at call time: the scripted races pause or
+count an operation by putting stand-ins for those objects in their place.
 """
 
 from __future__ import annotations
@@ -165,7 +169,7 @@ class DcvebArray:
     lie in ``[0, 2**key_bits)``.
     """
 
-    def __init__(self, branching: int = 64, key_bits: int = 63, hooks=None):
+    def __init__(self, branching: int = 64, key_bits: int = 63):
         check_branching(branching)
         if key_bits < 1:
             raise ValueError("key_bits must be >= 1")
@@ -173,7 +177,6 @@ class DcvebArray:
         self._shift = branching.bit_length() - 1
         self._mask = branching - 1
         self._key_limit = 1 << key_bits
-        self._hooks = hooks
         self._ap_lock = FairRWLock()
         root = Node(branching, 0)
         # prefix -> bottom-level node; written as the module docstring says
@@ -285,12 +288,10 @@ class DcvebArray:
                 else:
                     continue  # reached a bottom-level node
             # nothing past ``digit`` at shift ``s``: skip the node's range
-            if self._hooks is not None:
-                self._hooks("query-restart")
             s += shift
             key = ((key >> s) + 1) << s
-            # with no hooks, nothing since the word read is a call or a
-            # backward jump: under the GIL no thread ran in between
+            # nothing since the word read is a call or a backward jump:
+            # under the GIL no thread ran in between
             if key >= self._ap.size:
                 return None
             node = bottoms.get(key >> shift)
@@ -349,8 +350,6 @@ class DcvebArray:
                 else:
                     continue  # reached a bottom-level node
             # nothing before ``digit`` at shift ``s``: skip the node's range
-            if self._hooks is not None:
-                self._hooks("query-restart")
             s += shift
             key = ((key >> s) << s) - 1
             if key < 0:
@@ -374,9 +373,9 @@ class DcvebArray:
         item, the bit and the entry.  Every node is retired under its mutex
         as it leaves the tree, so an unretired one stays reachable from the
         published root while the mutex is held; a retired one sends the
-        insert to ``_descend``.  The store takes no guard and fires no hook.
-        It takes the mutex with ``acquire`` and releases it in ``finally``,
-        which costs less than ``with``.
+        insert to ``_descend``.  The store takes no guard.  It takes the
+        mutex with ``acquire`` and releases it in ``finally``, which costs
+        less than ``with``.
         """
         if type(key) is not int or key < 0 or key >= self._key_limit:
             self._check_key(key)
@@ -423,8 +422,6 @@ class DcvebArray:
             ap_lock.acquire_read()
             try:
                 params = self._ap
-                if self._hooks is not None:
-                    self._hooks("insert-snapshot")
                 if key < params.size:
                     while True:  # one pass per descent from the root
                         s = params.top
@@ -475,8 +472,6 @@ class DcvebArray:
                         top = Node(n, child_mask(0, n))
                         top.children[0] = root
                         root = top
-                if self._hooks is not None:
-                    self._hooks("grow-pre-publish")
                 self._ap = TreeParams(capacity(height, n), height, root,
                                       self._shift * (height - 1))
                 if dropped:
@@ -509,14 +504,9 @@ class DcvebArray:
         """
         if type(key) is not int or key < 0 or key >= self._key_limit:
             self._check_key(key)
-        hooks = self._hooks
-        if hooks is not None:
-            hooks("delete-snapshot")
         node = self._bottoms.get(key >> self._shift)
         if node is None:
             return
-        if hooks is not None:
-            hooks("delete-path")
         mask = self._mask
         digit = key & mask
         with node._mutex:
@@ -528,8 +518,6 @@ class DcvebArray:
         if word:
             return
         params = self._ap
-        if hooks is not None:
-            hooks("delete-cleared")
         self._unlink_path(key, params)
         if self._ap is not params:
             # the pass stopped at the root it read, below any levels a
@@ -635,7 +623,6 @@ class DcvebArray:
         """
         n = self._n
         only_zero = child_mask(0, n)
-        hooks = self._hooks
         ap_lock = self._ap_lock
         while True:
             params = self._ap
@@ -643,8 +630,6 @@ class DcvebArray:
                 return
             if params.height == 1:
                 return
-            if hooks is not None:
-                hooks("trim-pre-publish")
             root = params.root
             ap_lock.acquire_write()
             try:

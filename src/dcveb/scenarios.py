@@ -7,16 +7,15 @@ node that a delete empties and unlinks, or into an empty root that a growth
 drops, so the insert's re-check fails and it descends; and a delete that has
 emptied its bottom node and read the parameters when the tree grows above
 them, so its unlink pass leaves a stale occupancy bit for its guarded second
-pass.  A delete reaches its node through the bottom-node index and reads the
-parameters only once it has emptied that node, so ``delete-cleared`` (after
-that read) is the point where a growth can outrun it.  Test hooks compiled
-into the array (no-ops by default) and :class:`RunOnEnter` stand-ins for a
-node's mutex provide the pause points.  Every insert ends in one store under
-its bottom node's mutex, which fires no hook, so a store is paused with
-:class:`RunOnEnter` on that mutex; ``insert-snapshot`` fires only on the
-guarded descent.  A scenario whose pause never fires reports a failure.
-The stress workloads run on the benchmark's thread driver
-(``bench.run_workload``) and share its failure policy.
+pass.  Every pause point is a :class:`RunOnEnter` stand-in for a node's
+mutex, since the array has no test hooks.  An insert's store is paused on
+its bottom node's mutex, a guarded descent on the mutex of the node whose
+child it installs (``cas_child`` runs under the guard's read lock), and a
+delete's unlink pass on the mutex of its emptied node's parent, the pass's
+first lock, taken after the delete has read the parameters.  A scenario
+whose pause never fires reports a failure, and ``run_scenario`` stops at
+the first failing iteration.  The stress workloads run on the benchmark's
+thread driver (``bench.run_workload``) and share its failure policy.
 """
 
 from __future__ import annotations
@@ -50,11 +49,13 @@ def run_scenario(name: str, iterations: int = 1) -> ScenarioReport:
         raise ValueError(
             "unknown scenario %r (known: %s)" % (name, ", ".join(sorted(_SCENARIOS)))
         ) from None
-    report = ScenarioReport(name, iterations)
+    report = ScenarioReport(name, 0)
     for i in range(iterations):
         problems = runner()
+        report.iterations += 1
         if problems:
             report.failures.append((i, problems))
+            break  # one failure settles it; a stuck pause costs seconds
     return report
 
 
@@ -70,8 +71,13 @@ def _run_pair(a, b) -> list[str]:
 
 class RunOnEnter:
     """Stand-in for a node's mutex that runs ``action`` once, on the first
-    ``with`` entry or ``acquire`` call (an insert's ``cas_child`` or its
-    entry store, or a delete's slot clear), before taking the real lock."""
+    ``with`` entry or ``acquire`` call, before taking the real lock.
+
+    That first entry may be an insert's ``cas_child`` (under the root
+    guard's read lock) or its entry store, a delete's slot clear, an unlink
+    pass's ``_clear_if_empty`` on the parent, or a growth or trim on the old
+    root (under the guard's write lock).  An action that raises leaves the
+    real lock untaken."""
 
     def __init__(self, lock, action):
         self._lock = lock
@@ -99,25 +105,23 @@ class RunOnEnter:
 
 
 def _insert_vs_trim() -> list[str]:
-    """An insert snapshots the parameters on its descent, then a delete
-    empties everything outside child 0 and tries to trim the root.  The
-    descent holds the guard's read lock until it has installed root child 2,
-    so the trim waits for it, and the trim's re-check must then see that
-    child's bit and abort."""
+    """An insert's descent parks on entering the root's mutex to install
+    root child 2, holding the guard's read lock; then a delete empties
+    everything outside child 0 and tries to trim the root.  The descent
+    holds the guard until it has installed that child, so the trim waits for
+    it, and the trim's re-check must then see that child's bit and abort."""
     in_window = threading.Event()
-    armed = [False]
-
-    def hooks(point):
-        if point == "insert-snapshot" and armed[0]:
-            armed[0] = False
-            in_window.set()
-            # parked holding the guard read lock: give the trim time to block
-            time.sleep(0.0005)
-
-    array = DcvebArray(branching=64, hooks=hooks)
+    array = DcvebArray(branching=64)
     array.insert(3, "keep")
     array.insert(70, "evict")  # forces height 2; root occupies children {0, 1}
-    armed[0] = True
+    root = array._params().root
+
+    def park():
+        in_window.set()
+        # parked holding the guard read lock: give the trim time to block
+        time.sleep(0.0005)
+
+    root._mutex = RunOnEnter(root._mutex, park)
 
     def inserter():
         array.insert(130, "landed")  # root child 2
@@ -128,7 +132,7 @@ def _insert_vs_trim() -> list[str]:
 
     problems = _run_pair(inserter, deleter)
     if not in_window.is_set():
-        problems.append("insert never paused at its snapshot")
+        problems.append("insert never paused on the root's mutex")
     entry = array.get(130)
     if entry is None or entry.value != "landed":
         problems.append("insert lost: get(130) = %r" % (entry,))
@@ -232,25 +236,24 @@ def _insert_vs_unlink() -> list[str]:
 
 
 def _grow_vs_delete_residue() -> list[str]:
-    """A delete empties the bottom node of a height-2 tree's only entry and
-    reads the parameters for its unlink pass; then an insert grows the tree
-    to height 3, adopting the old root, which still claims the emptied node.
-    The pass from the old root can only unlink up to that root, so the new
-    top level is left claiming a now-empty subtree; the delete's guarded
-    second pass must strip that bit before the delete returns."""
+    """A delete empties the bottom node of a height-2 tree's only entry,
+    reads the parameters and parks as its unlink pass enters the old root's
+    mutex; then an insert grows the tree to height 3, adopting the old root,
+    which still claims the emptied node.  The pass from the old root can only
+    unlink up to that root, so the new top level is left claiming a
+    now-empty subtree; the delete's guarded second pass must strip that bit
+    before the delete returns."""
     in_window = threading.Event()
     resume = threading.Event()
-    armed = [False]
-
-    def hooks(point):
-        if point == "delete-cleared" and armed[0]:
-            armed[0] = False
-            in_window.set()
-            resume.wait(5)
-
-    array = DcvebArray(branching=64, hooks=hooks)
+    array = DcvebArray(branching=64)
     array.insert(70, "victim")  # height 2; the root holds only child 1
-    armed[0] = True
+    root = array._params().root
+
+    def park():
+        in_window.set()
+        resume.wait(5)
+
+    root._mutex = RunOnEnter(root._mutex, park)
 
     def deleter():
         array.delete(70)
@@ -264,7 +267,7 @@ def _grow_vs_delete_residue() -> list[str]:
 
     problems = _run_pair(deleter, grower)
     if not in_window.is_set():
-        problems.append("delete never paused after its clear")
+        problems.append("unlink pass never paused on the root's mutex")
     if array.get(70) is not None:
         problems.append("deleted key still visible")
     entry = array.get(5000)

@@ -1,0 +1,105 @@
+"""Stand-ins for the objects ``DcvebArray`` reads through its attributes.
+
+``SpyIndex`` replaces ``_bottoms`` and ``SpyGuard`` replaces ``_ap_lock``;
+a node's mutex is replaced with ``dcveb.scenarios.RunOnEnter``.  Together
+they pause an operation at a chosen point and count what a path touched,
+so core needs no hooks.
+"""
+
+import threading
+
+from dcveb.rwlock import FairRWLock
+
+
+class SpyIndex(dict):
+    """Bottom-node index that counts ``get`` probes, logs every item store,
+    and can run one action just before or just after a chosen probe.
+
+    Every pass of an order query's loop makes exactly one probe, so the
+    restart of such a query is probe 2; a restart that ends the call makes
+    no probe.  ``insert`` and ``delete`` make one probe each before they
+    take any lock.
+    """
+
+    def __init__(self, items=()):
+        super().__init__(items)
+        self.probes = 0
+        self.stores = []  # (prefix, mutex held, retired, word, slots)
+        self._action = None
+        self._at = 0
+        self._after = False
+
+    @classmethod
+    def install(cls, array):
+        index = array._bottoms = cls(array._bottoms)
+        return index
+
+    def arm(self, action, probe=1, after=False):
+        """Run ``action`` once, before (or, with ``after``, right after) the
+        ``probe``-th ``get`` from now.  Resets the probe count."""
+        self.probes = 0
+        self._action, self._at, self._after = action, probe, after
+
+    def _fire(self):
+        action, self._action = self._action, None
+        action()
+
+    def get(self, prefix, default=None):
+        self.probes += 1
+        fire = self._action is not None and self.probes == self._at
+        if fire and not self._after:
+            self._fire()
+        node = super().get(prefix, default)
+        if fire and self._after:
+            self._fire()
+        return node
+
+    def __setitem__(self, prefix, node):
+        self.stores.append((prefix, node._mutex.locked(), node.retired,
+                            node.value, list(node.children)))
+        super().__setitem__(prefix, node)
+
+
+class SpyGuard(FairRWLock):
+    """Root guard that logs every acquire and knows whether the calling
+    thread holds it for reading."""
+
+    def __init__(self):
+        super().__init__()
+        self.acquires = []
+        self._reading = threading.local()
+
+    @classmethod
+    def install(cls, array):
+        guard = array._ap_lock = cls()
+        return guard
+
+    def held_for_reading(self):
+        return getattr(self._reading, "held", False)
+
+    def acquire_read(self):
+        self.acquires.append("read")
+        super().acquire_read()
+        self._reading.held = True
+
+    def release_read(self):
+        self._reading.held = False
+        super().release_read()
+
+    def acquire_write(self):
+        self.acquires.append("write")
+        super().acquire_write()
+
+
+def record_calls(array, name):
+    """Replace the array's method ``name`` with an instance attribute that
+    logs each call's arguments before making it; returns the log."""
+    calls = []
+    method = getattr(array, name)
+
+    def recorded(*args):
+        calls.append(args)
+        return method(*args)
+
+    setattr(array, name, recorded)
+    return calls

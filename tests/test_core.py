@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from dcveb.core import Capacity, DcvebArray, Entry, Node
 from dcveb.oracle import OracleMap
 from dcveb.walker import quiescent_walk
+from doubles import SpyIndex
 
 
 def make_array(**kwargs):
@@ -413,30 +414,26 @@ def test_dense_order_queries_hop_without_the_root():
     # Every prefix of a fanout-64, height-2 tree is indexed, so successor
     # just past a bottom node's last entry and predecessor just before its
     # first hop to the neighbouring indexed node and never descend from the
-    # root.  (A successor's hop checks the size first.)
-    hops = [0]
-
-    def hooks(point):
-        if point == "query-restart":
-            hops[0] += 1
-
-    array = DcvebArray(branching=64, key_bits=12, hooks=hooks)
+    # root.  (A successor's hop checks the size first.)  The hop is the
+    # call's second index probe.
+    array = DcvebArray(branching=64, key_bits=12)
     for prefix in range(64):
         array.insert(prefix * 64 + 5, prefix)
         array.insert(prefix * 64 + 40, prefix)
+    index = SpyIndex.install(array)
     params = array._ap
     array._ap = _SizeOnly(params.size)
     try:
         for prefix in range(64):
             base = prefix * 64
             if prefix < 63:
-                hops[0] = 0
+                index.probes = 0
                 assert array.successor(base + 41) == Entry(base + 69, prefix + 1)
-                assert hops[0] == 1
+                assert index.probes == 2
             if prefix > 0:
-                hops[0] = 0
+                index.probes = 0
                 assert array.predecessor(base + 4) == Entry(base - 24, prefix - 1)
-                assert hops[0] == 1
+                assert index.probes == 2
             assert array.successor(base + 6) == Entry(base + 40, prefix)
             assert array.predecessor(base + 39) == Entry(base + 5, prefix)
     finally:
@@ -506,23 +503,20 @@ def test_query_fast_path_matches_oracle(branching, density):
     # Probes cover random keys, each inserted key and its neighbours, and keys
     # at and above the capacity.  Both ways a non-exact answer is found must run:
     # inside the node where the descent stopped, and after a restart from
-    # the root.
-    restarts = [0]
-
-    def hooks(point):
-        if point == "query-restart":
-            restarts[0] += 1
-
+    # the root.  A call that returns an entry made one index probe per pass
+    # of its loop, so every probe after its first is a restart.
+    restarts = 0
     key_bits = 20
     rng = random.Random(branching * 2 + (density == "dense"))
-    array = DcvebArray(branching=branching, key_bits=key_bits, hooks=hooks)
+    array = DcvebArray(branching=branching, key_bits=key_bits)
+    index = SpyIndex.install(array)
     table = OracleMap()
     keys = (rng.sample(range(1024), 512) if density == "dense"
             else rng.sample(range(1 << 16), 60))
     in_node = 0
 
     def check():
-        nonlocal in_node
+        nonlocal in_node, restarts
         size = array.capacity_snapshot().size
         probes = [rng.randrange(size) for _ in range(200)]
         for key in keys:
@@ -533,10 +527,11 @@ def test_query_fast_path_matches_oracle(branching, density):
                 continue
             assert array.get(key) == table.get(key), key
             for query in ("successor", "predecessor"):
-                before = restarts[0]
+                index.probes = 0
                 got = getattr(array, query)(key)
                 assert got == getattr(table, query)(key), (query, key)
-                if restarts[0] == before and got is not None and got.key != key:
+                restarts += index.probes - 1
+                if index.probes == 1 and got is not None and got.key != key:
                     in_node += 1
 
     check()  # empty
@@ -562,7 +557,7 @@ def test_query_fast_path_matches_oracle(branching, density):
         array.delete(key)
         table.delete(key)
     check()  # empty again
-    assert restarts[0] > 0 and in_node > 0, (restarts[0], in_node)
+    assert restarts > 0 and in_node > 0, (restarts, in_node)
 
 
 @settings(max_examples=60, deadline=None)
@@ -572,24 +567,20 @@ def test_order_queries_match_oracle_within_height_restarts(branching, key_bits, 
     # at random keys and around every present key, minimum and maximum must
     # equal the oracle, and the walker (bottom-node index included) must find
     # the tree clean through every grow, trim and unlink.  With no concurrent
-    # writer every restart stops at a strictly higher level, so one call
-    # restarts at most ``height`` times.
-    restarts = [0]
-
-    def hooks(point):
-        if point == "query-restart":
-            restarts[0] += 1
-
-    array = DcvebArray(branching=branching, key_bits=key_bits, hooks=hooks)
+    # writer every restart stops at a strictly higher level, and a restart
+    # past the top level ends the call without probing the index, so one
+    # call makes at most ``height`` index probes.
+    array = DcvebArray(branching=branching, key_bits=key_bits)
+    index = SpyIndex.install(array)
     table = OracleMap()
     top = (1 << key_bits) - 1
     keys = st.one_of(st.integers(0, min(top, 63)), st.integers(0, top))
 
     def check(query, *args):
         height = array.capacity_snapshot().height
-        restarts[0] = 0
+        index.probes = 0
         assert getattr(array, query)(*args) == getattr(table, query)(*args), (query, args)
-        assert restarts[0] <= height, (query, args, restarts[0], height)
+        assert index.probes <= height, (query, args, index.probes, height)
 
     for insert, key in data.draw(st.lists(st.tuples(st.booleans(), keys), max_size=30)):
         if insert:

@@ -1,5 +1,9 @@
-"""Targeted interleavings for the delete/rebuild edge cases, driven through
-the test hooks, plus the hook surface itself."""
+"""Targeted interleavings for the delete/rebuild edge cases, plus the shape
+of each operation's path.  Each race is paused through a stand-in for an
+object the array reads through an attribute: ``RunOnEnter`` on a node's
+mutex, ``SpyIndex`` on the bottom-node index (an action before or after its
+k-th probe), or a wrapped helper method; ``SpyGuard`` logs the root guard's
+acquires."""
 
 import random
 import sys
@@ -8,87 +12,109 @@ import threading
 import pytest
 
 from dcveb.core import DcvebArray, Entry, Node
-from dcveb.rwlock import FairRWLock
 from dcveb.scenarios import RunOnEnter
 from dcveb.walker import quiescent_walk, structure_fingerprint
+from doubles import SpyGuard, SpyIndex, record_calls
 
 
-def test_hook_points_fire_in_order():
-    points = []
-    array = DcvebArray(branching=64, hooks=points.append)
-    array.insert(70, "x")  # snapshot, grow publish, snapshot of the new root
-    assert points == ["insert-snapshot", "grow-pre-publish", "insert-snapshot"]
-    points.clear()
-    array.insert(3, "keep")
-    assert points == ["insert-snapshot"]
-    points.clear()
-    array.delete(70)  # node indexed, emptied: unlink pass, then a trim
-    assert points == ["delete-snapshot", "delete-path", "delete-cleared",
-                      "trim-pre-publish"]
-    points.clear()
-    array.delete(71)  # absent: no node is indexed under its prefix
-    assert points == ["delete-snapshot"]
-    points.clear()
-    assert array.successor(3) == Entry(3, "keep")  # exact hit: no restart
-    assert array.successor(4) is None  # nothing past 3: one restart
-    assert points == ["query-restart"]
+def test_path_shape_of_each_operation():
+    # Which guard acquires, index probes and unlink passes each kind of call
+    # makes, with no concurrent writer.
+    array = DcvebArray(branching=64)
+    index = SpyIndex.install(array)
+    guard = SpyGuard.install(array)
+    unlinks = record_calls(array, "_unlink_path")
+    trims = record_calls(array, "_trim_top")
+
+    def shape(op, *args):
+        index.probes = 0
+        guard.acquires.clear()
+        unlinks.clear()
+        trims.clear()
+        result = getattr(array, op)(*args)
+        return (result, guard.acquires[:], index.probes, len(unlinks),
+                len(trims))
+
+    # a growing insert: the descent's read, the growth's write, the read of
+    # the descent that resumes in the new tree; the growth drops the empty
+    # root and probes for its index item
+    assert shape("insert", 70, "x") == (None, ["read", "write", "read"],
+                                        2, 0, 0)
+    assert array.capacity_snapshot().height == 2
+    # prefix 0 is not indexed (the dropped root left the index): a descent
+    assert shape("insert", 3, "keep") == (None, ["read"], 1, 0, 0)
+    # an insert that hits the index takes nothing
+    assert shape("insert", 4, "near") == (None, [], 1, 0, 0)
+    # a delete that keeps its node non-empty touches only its slot
+    assert shape("delete", 4) == (None, [], 1, 0, 0)
+    # a delete that empties its node runs one unlink pass (whose clear of
+    # the node probes the index) and a trim, which pops the root
+    assert shape("delete", 70) == (None, ["write"], 2, 1, 1)
+    assert array.capacity_snapshot().height == 1
+    # a delete of an absent key makes one probe and no pass
+    assert shape("delete", 71) == (None, [], 1, 0, 0)
+    # a successor exact hit makes one probe; a restart that passes the size
+    # ends the call without a probe
+    assert shape("successor", 3) == (Entry(3, "keep"), [], 1, 0, 0)
+    assert shape("successor", 4) == (None, [], 1, 0, 0)
+    assert shape("predecessor", 63) == (Entry(3, "keep"), [], 1, 0, 0)
+    assert shape("get", 3) == (Entry(3, "keep"), [], 1, 0, 0)
+    assert quiescent_walk(array).ok()
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: a restart skips a slot "
-                   "that an insert fills behind it")
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 1: a restart skips a slot that an "
+                   "insert fills behind it")
 def test_scan_skip_returns_key_never_least():
     # successor(1) finds nothing past slot 1 in the bottom node holding 0
-    # and pauses at its restart.  Inside the pause insert(2) and then
-    # insert(6) complete.  The restart resumes past the node's range, at 4,
-    # and returns 6, but no state that held 6 lacked 2: a linearizable
-    # answer is 15 (before insert(2)) or 2 (after it).
-    armed = [False]
-
-    def hooks(point):
-        if point == "query-restart" and armed[0]:
-            armed[0] = False
-            array.insert(2, 2)
-            array.insert(6, 6)
-
-    array = DcvebArray(branching=4, key_bits=4, hooks=hooks)
+    # and restarts.  Before the restart's index probe (probe 2) insert(2)
+    # and then insert(6) complete.  The restart resumes past the node's
+    # range, at 4, and returns 6, but no state that held 6 lacked 2: a
+    # linearizable answer is 15 (before insert(2)) or 2 (after it).
+    array = DcvebArray(branching=4, key_bits=4)
     array.insert(0, 0)
     array.insert(15, 15)
-    armed[0] = True
+    index = SpyIndex.install(array)
+
+    def fill():
+        array.insert(2, 2)
+        array.insert(6, 6)
+
+    index.arm(fill, probe=2)
     result = array.successor(1)
     assert result in (Entry(15, 15), Entry(2, 2))
 
 
 def test_restart_sees_growth_made_inside_it():
-    # successor(1) finds nothing past slot 1 of the lone height-1 root and
-    # restarts.  Inside the restart insert(20) grows the tree to height 3.
-    # The restart reads the fresh params, so it finds 20 instead of stopping
-    # at the old capacity.
-    armed = [False]
-
-    def hooks(point):
-        if point == "query-restart" and armed[0]:
-            armed[0] = False
-            array.insert(20, 20)
-
-    array = DcvebArray(branching=4, key_bits=8, hooks=hooks)
+    # successor(1) finds the lone height-1 root through the index.  Right
+    # after that probe, insert(20) grows the tree to height 3.  The root has
+    # nothing past slot 1, so the call restarts; the restart reads the fresh
+    # params, so it finds 20 instead of stopping at the old capacity.
+    array = DcvebArray(branching=4, key_bits=8)
     array.insert(0, 0)
     assert array.capacity_snapshot().height == 1
-    armed[0] = True
+    index = SpyIndex.install(array)
+    fired = []
+
+    def grow():
+        fired.append(True)
+        array.insert(20, 20)
+
+    index.arm(grow, probe=1, after=True)
     assert array.successor(1) == Entry(20, 20)
-    assert not armed[0]
+    assert fired == [True]
     assert array.capacity_snapshot().height == 3
 
 
-def _pause_once_at(point_name, in_window, resume):
-    armed = [True]
+def _pause_before_probe(array, in_window, resume):
+    """Make the next index probe (an operation's first) pause until
+    ``resume`` is set."""
 
-    def hooks(point):
-        if point == point_name and armed[0]:
-            armed[0] = False
-            in_window.set()
-            resume.wait(5)
+    def pause():
+        in_window.set()
+        resume.wait(5)
 
-    return hooks
+    SpyIndex.install(array).arm(pause)
 
 
 def test_paused_delete_removes_rebuilt_entry():
@@ -97,9 +123,9 @@ def test_paused_delete_removes_rebuilt_entry():
     # effect last: the rebuilt entry is (legitimately) removed.
     in_window = threading.Event()
     resume = threading.Event()
-    array = DcvebArray(branching=64,
-                       hooks=_pause_once_at("delete-snapshot", in_window, resume))
+    array = DcvebArray(branching=64)
     array.insert(130, "old")
+    _pause_before_probe(array, in_window, resume)
 
     def paused_deleter():
         array.delete(130)
@@ -116,71 +142,31 @@ def test_paused_delete_removes_rebuilt_entry():
         t.start()
     for t in threads:
         t.join(10)
+    assert not any(t.is_alive() for t in threads)
+    assert in_window.is_set(), "the delete never paused at its probe"
     assert array.get(130) is None
     assert quiescent_walk(array).ok()
 
 
-def _run_once_at(point_name, action):
-    """Hooks that record every point and run ``action`` at the first
-    ``point_name`` after ``armed[0]`` is set."""
-    armed = [False]
-    points = []
-
-    def hooks(point):
-        points.append(point)
-        if point == point_name and armed[0]:
-            armed[0] = False
-            action()
-
-    return hooks, armed, points
-
-
-class _SpyGuard(FairRWLock):
-    """Root guard that logs every acquire and knows whether the calling
-    thread holds it for reading."""
-
-    def __init__(self):
-        super().__init__()
-        self.acquires = []
-        self._reading = threading.local()
-
-    def held_for_reading(self):
-        return getattr(self._reading, "held", False)
-
-    def acquire_read(self):
-        self.acquires.append("read")
-        super().acquire_read()
-        self._reading.held = True
-
-    def release_read(self):
-        self._reading.held = False
-        super().release_read()
-
-    def acquire_write(self):
-        self.acquires.append("write")
-        super().acquire_write()
-
-
 def test_stale_trail_delete_aborts_without_touching_rebuild():
-    # delete(130) pauses after the index handed it the bottom-level node.
-    # In the pause the branch is emptied (its nodes unlinked) and rebuilt.  The
-    # stale node is retired under its mutex, so the delete aborts and leaves
-    # the rebuilt entry alone; it linearizes between the other delete and
-    # the re-insert.
+    # delete(130) pauses right after the index handed it the bottom-level
+    # node.  In the pause the branch is emptied (its nodes unlinked) and
+    # rebuilt.  The stale node is retired under its mutex, so the delete
+    # aborts and leaves the rebuilt entry alone; it linearizes between the
+    # other delete and the re-insert.
     def rebuild():
         array.delete(130)   # empties the branch: the parent is unlinked
         array.insert(130, "new")
 
-    hooks, armed, points = _run_once_at("delete-path", rebuild)
-    array = DcvebArray(branching=64, hooks=hooks)
+    array = DcvebArray(branching=64)
     array.insert(130, "old")
     stale = array._params().root.children[2]
-    armed[0] = True
-    points.clear()
+    unlinks = record_calls(array, "_unlink_path")
+    SpyIndex.install(array).arm(rebuild, after=True)
     array.delete(130)
     assert array._params().root.children[2] is not stale
     # the inner delete cleared; the outer one stopped at the node's mutex
-    assert points.count("delete-cleared") == 1
+    assert len(unlinks) == 1
     assert array.get(130) == Entry(130, "new")
     assert quiescent_walk(array).ok()
 
@@ -199,10 +185,9 @@ def test_stale_trail_delete_after_overwrite_removes_key():
         array.insert(130, "new")
         assert parent.children[2] != seen[0]
 
-    hooks, armed, _ = _run_once_at("delete-path", overwrite)
-    array = DcvebArray(branching=64, hooks=hooks)
+    array = DcvebArray(branching=64)
     array.insert(130, "old")
-    armed[0] = True
+    SpyIndex.install(array).arm(overwrite, after=True)
     array.delete(130)
     assert seen == [Entry(130, "old")]
     assert array.get(130) is None
@@ -247,25 +232,27 @@ def test_insert_survives_growth_cleanup_of_its_root():
 
 def test_growth_waits_for_a_descending_insert_and_adopts_its_root():
     # The height-2 root of a fanout-4 tree is empty and nothing is indexed,
-    # so insert(1) descends.  A growth started at its snapshot, while it
-    # holds the root guard's read lock, waits for the guard.  The descent
-    # installs root child 0 before it releases the guard, so the growth
-    # then finds the root non-empty and adopts it as child 0 instead of
-    # dropping it with the insert's node inside.
+    # so insert(1) descends.  A growth started as the descent enters the
+    # root's mutex to install root child 0, while it holds the root guard's
+    # read lock, waits for the guard.  The descent installs that child
+    # before it releases the guard, so the growth then finds the root
+    # non-empty and adopts it as child 0 instead of dropping it with the
+    # insert's node inside.
     growers = []
     waited = []
 
     def grow():
+        assert guard.held_for_reading()
         _start_grower(array, growers, 20)
         waited.append(growers[0].is_alive())
 
-    hooks, armed, _ = _run_once_at("insert-snapshot", grow)
-    array = DcvebArray(branching=4, key_bits=6, hooks=hooks)
+    array = DcvebArray(branching=4, key_bits=6)
     array.insert(5, 5)
     array.delete(5)
     original_root = array._params().root
     assert original_root.value == 0 and array._bottoms == {}
-    armed[0] = True
+    guard = SpyGuard.install(array)
+    original_root._mutex = RunOnEnter(original_root._mutex, grow)
     array.insert(1, 1)
     assert waited == [True], "growth published inside the descent"
     growers[0].join(10)
@@ -285,11 +272,11 @@ def test_delete_lands_on_reused_parent_node():
     # absent.
     in_window = threading.Event()
     resume = threading.Event()
-    array = DcvebArray(branching=64,
-                       hooks=_pause_once_at("delete-snapshot", in_window, resume))
+    array = DcvebArray(branching=64)
     array.insert(130, "old")
     array.insert(131, "sibling")
     parent_before = array._params().root.children[2]
+    _pause_before_probe(array, in_window, resume)
 
     def stale_deleter():
         array.delete(130)
@@ -306,6 +293,8 @@ def test_delete_lands_on_reused_parent_node():
         t.start()
     for t in threads:
         t.join(10)
+    assert not any(t.is_alive() for t in threads)
+    assert in_window.is_set(), "the delete never paused at its probe"
     assert array._params().root.children[2] is parent_before
     assert array.get(130) is None
     assert array.get(131) == Entry(131, "sibling")
@@ -325,26 +314,50 @@ def test_walker_flags_summary_high_bits():
                                    "delete-path", "delete-cleared",
                                    "trim-pre-publish"])
 def test_raising_hook_leaks_no_lock(point, assert_no_lock_held):
-    # A hook that raises inside a write path must not leave the root guard
+    # An exception raised inside a write path must not leave the root guard
     # or a node mutex held: the writes below need the node mutexes on 70's
-    # path, the guard's write lock to trim and then to grow.
-    armed = [False]
-
-    def hooks(name):
-        if name == point and armed[0]:
-            armed[0] = False
-            raise RuntimeError("injected at " + name)
-
-    array = DcvebArray(branching=64, hooks=hooks)
+    # path, the guard's write lock to trim and then to grow.  A
+    # ``RunOnEnter`` action on a node's mutex raises it at each point: the
+    # descent and the growth while they hold the guard, the trim under its
+    # write lock.
+    array = DcvebArray(branching=64)
     array.insert(3, "keep")
     array.insert(70, "drop")  # height 2; root children {0, 1}
-    armed[0] = True
-    with pytest.raises(RuntimeError):
-        if point.startswith(("insert", "grow")):
+    guard = SpyGuard.install(array)
+    root = array._params().root
+    fired = []
+
+    def writing():
+        return guard._writer_active
+
+    def fail(held=None):
+        def action():
+            assert held is None or held()
+            fired.append(point)
+            raise RuntimeError("injected at " + point)
+        return action
+
+    def arm(node, action):
+        node._mutex = RunOnEnter(node._mutex, action)
+
+    if point == "insert-snapshot":  # cas_child of root child 2, read lock held
+        arm(root, fail(guard.held_for_reading))
+    elif point == "grow-pre-publish":  # the old root, write lock held
+        arm(root, fail(writing))
+    elif point == "delete-path":  # the indexed node, before its slot clear
+        arm(array._bottoms[1], fail())
+    elif point == "delete-cleared":  # the emptied node's parent: first lock
+        arm(root, fail())
+    else:  # the unlink pass enters the root first, then the trim
+        arm(root, lambda: arm(root, fail(writing)))
+    with pytest.raises(RuntimeError, match="injected at " + point):
+        if point == "insert-snapshot":
+            array.insert(130, "lost")  # descends to install root child 2
+        elif point == "grow-pre-publish":
             array.insert(5000, "grow")  # needs height 3
         else:
             array.delete(70)
-    assert not armed[0]
+    assert fired == [point]
     assert_no_lock_held(array)
 
     def churn():
@@ -376,21 +389,22 @@ def test_index_hit_store_leaks_no_mutex(assert_no_lock_held):
     # its slot store raises inside the critical section.  The node's mutex
     # must be released on the way out, so the next insert into that node
     # goes through.
-    points = []
-    array = DcvebArray(branching=64, hooks=points.append)
+    array = DcvebArray(branching=64)
     array.insert(130, "keep")
     node = array._bottoms[2]
     node.children = _FailingSlots(node.children)
-    points.clear()
+    index = SpyIndex.install(array)
+    guard = SpyGuard.install(array)
     with pytest.raises(RuntimeError):
         array.insert(131, "lost")
-    assert points == []  # the index path: no guard, no descent, no hook
+    # the index path: one probe, no guard, no descent
+    assert (index.probes, guard.acquires) == (1, [])
     assert not node._mutex.locked()
     assert_no_lock_held(array)
     node.children = list(node.children)
-    points.clear()  # the walk's own queries fire ``query-restart``
+    index.probes = 0  # the walk's own queries probe the index
     array.insert(131, "landed")
-    assert points == []
+    assert (index.probes, guard.acquires) == (1, [])
     assert array.get(131) == Entry(131, "landed")
     assert array.get(130) == Entry(130, "keep")
     assert quiescent_walk(array).ok()
@@ -400,20 +414,17 @@ def test_index_hit_store_leaks_no_mutex(assert_no_lock_held):
 @pytest.mark.parametrize("query", ["successor", "predecessor"])
 def test_hop_that_misses_the_index_descends_from_the_root(query):
     # The query finds nothing on its search side in its own bottom node and
-    # hops to the neighbouring prefix.  Before the hop's index probe, a
-    # delete removes that neighbour's only entry, which unlinks and
+    # hops to the neighbouring prefix.  Before the hop's index probe (probe
+    # 2), a delete removes that neighbour's only entry, which unlinks and
     # de-indexes its node.  The hop misses, descends from the root, and
     # returns the next live entry beyond the emptied prefix.
-    armed = [False]
     fired = []
 
-    def hooks(point):
-        if point == "query-restart" and armed[0]:
-            armed[0] = False
-            fired.append(point)
-            array.delete(neighbour)
+    def evict():
+        fired.append(neighbour)
+        array.delete(neighbour)
 
-    array = DcvebArray(branching=64, key_bits=12, hooks=hooks)
+    array = DcvebArray(branching=64, key_bits=12)
     if query == "successor":
         keys, neighbour, start, expected = (5, 70, 200), 70, 6, 200
     else:
@@ -421,9 +432,9 @@ def test_hop_that_misses_the_index_descends_from_the_root(query):
     for key in keys:
         array.insert(key, key)
     assert neighbour >> 6 in array._bottoms
-    armed[0] = True
+    SpyIndex.install(array).arm(evict, probe=2)
     assert getattr(array, query)(start) == Entry(expected, expected)
-    assert fired == ["query-restart"]
+    assert fired == [neighbour]
     assert neighbour >> 6 not in array._bottoms
     assert quiescent_walk(array).ok()
 
@@ -450,27 +461,28 @@ def test_insert_restarts_when_its_bottom_node_is_unlinked():
 
 def test_index_hit_insert_falls_back_when_its_node_is_unlinked():
     # insert(131) finds the node holding only 130 through the index and
-    # parks on entering its mutex, before any hook and holding no guard.
+    # parks on entering its mutex, after one probe and holding no guard.
     # delete(130) runs to completion in the pause: it empties, unlinks,
     # retires and de-indexes that node.  The insert's re-check under the
     # mutex fails, so it takes the guarded descent, which installs and
     # indexes a fresh node.
-    points = []
-    array = DcvebArray(branching=64, hooks=points.append)
+    array = DcvebArray(branching=64)
     array.insert(130, "evict")
     stale = array._bottoms[2]
+    index = SpyIndex.install(array)
+    guard = SpyGuard.install(array)
+    unlinks = record_calls(array, "_unlink_path")
 
     def unlink():
-        assert points == []
-        assert array._ap_lock._active_readers == 0
+        assert (index.probes, guard.acquires) == (1, [])
+        assert guard._active_readers == 0
         array.delete(130)
         assert stale.retired and 2 not in array._bottoms
 
     stale._mutex = RunOnEnter(stale._mutex, unlink)
-    points.clear()
     array.insert(131, "landed")
-    assert points == ["delete-snapshot", "delete-path", "delete-cleared",
-                      "insert-snapshot"]
+    # the delete's one unlink pass takes no guard; the descent takes it
+    assert (len(unlinks), guard.acquires) == (1, ["read"])
     fresh = array._params().root.children[2]
     assert fresh is not stale and not fresh.retired
     assert array._bottoms[2] is fresh
@@ -572,33 +584,33 @@ def test_delete_that_keeps_its_node_non_empty_touches_only_its_slot():
     # bit under that node's mutex and returns: no guard, no unlink pass, no
     # trim.  A delete of a key that is absent from an indexed node changes
     # nothing, and one whose prefix is not indexed returns at the probe.
-    points = []
-    array = DcvebArray(branching=64, hooks=points.append)
+    array = DcvebArray(branching=64)
     for key in (5, 130, 131, 4000):
         array.insert(key, key)
     expected = DcvebArray(branching=64)
     for key in (5, 131, 4000):
         expected.insert(key, key)
-    guard = array._ap_lock = _SpyGuard()
+    index = SpyIndex.install(array)
+    guard = SpyGuard.install(array)
+    unlinks = record_calls(array, "_unlink_path")
+    trims = record_calls(array, "_trim_top")
     params = array._params()
     bottoms = dict(array._bottoms)
     before = structure_fingerprint(array)
-    points.clear()
     array.delete(130)
-    assert points == ["delete-snapshot", "delete-path"]
-    assert guard.acquires == []
+    assert (index.probes, guard.acquires, unlinks, trims) == (1, [], [], [])
     assert array._params() is params and array._bottoms == bottoms
     after = structure_fingerprint(array)
     assert after == structure_fingerprint(expected)
     array.insert(130, 130)  # through the index: writes only that slot back
     assert structure_fingerprint(array) == before
     array.delete(130)
-    points.clear()
+    index.probes = 0  # the fingerprints' queries probe the index
     array.delete(132)  # prefix 2 is indexed, slot 4 is empty
-    assert points == ["delete-snapshot", "delete-path"]
+    assert index.probes == 1
     array.delete(200)  # prefix 3 is not indexed
-    assert points == ["delete-snapshot", "delete-path", "delete-snapshot"]
-    assert guard.acquires == []
+    assert index.probes == 2
+    assert (guard.acquires, unlinks, trims) == ([], [], [])
     assert structure_fingerprint(array) == after
     assert quiescent_walk(array).ok()
 
@@ -609,23 +621,15 @@ def test_insert_indexes_its_bottom_node_before_the_bit_and_entry_stores():
     # holds an entry is always indexed, and a node that a delete unlinks can
     # have no item written after the unlink.  That holds for a node the
     # descent reaches and for one found through the index, which takes no
-    # guard and fires no hook, an empty one included.
-    seen = []
-    points = []
-
-    class SpyIndex(dict):
-        def __setitem__(self, prefix, node):
-            seen.append((prefix, node._mutex.locked(), node.retired,
-                         node.value, list(node.children)))
-            super().__setitem__(prefix, node)
-
-    array = DcvebArray(branching=64, hooks=points.append)
-    array._bottoms = SpyIndex(array._bottoms)
-    guard = array._ap_lock = _SpyGuard()
+    # guard and makes no descent, an empty one included.
+    array = DcvebArray(branching=64)
+    index = SpyIndex.install(array)
+    seen = index.stores
+    guard = SpyGuard.install(array)
     root = array._params().root
     array.insert(5, "a")  # the fresh, empty root: through the index
     assert seen == [(0, True, False, 0, [None] * 64)]
-    assert (guard.acquires, points) == ([], [])
+    assert (guard.acquires, index.probes) == ([], 1)
     array.insert(130, "b")  # height 2; the root holding 5 is adopted
     assert array._params().root.children[0] is root
     seen.clear()
@@ -638,34 +642,39 @@ def test_insert_indexes_its_bottom_node_before_the_bit_and_entry_stores():
     word, slots = node.value, list(node.children)
     seen.clear()
     guard.acquires.clear()
-    points.clear()
+    index.probes = 0
     array.insert(131, "d")  # prefix 2 holds 130: through the index
     assert seen == [(2, True, False, word, slots)]
-    assert (guard.acquires, points) == ([], [])
+    assert (guard.acquires, index.probes) == ([], 1)
     assert array.get(131) == Entry(131, "d")
 
 
 def test_insert_into_an_emptied_node_keeps_it_linked():
-    # delete(130) empties the bottom node of prefix 2 and pauses at
-    # ``delete-cleared``, before its unlink pass.  In the pause insert(131)
-    # stores into that still-linked, indexed, empty node through the index,
-    # with no guard and no hook.  The resumed unlink pass finds the node
-    # non-empty under its mutex and leaves it linked and indexed.
+    # delete(130) empties the bottom node of prefix 2 and pauses as its
+    # unlink pass enters the parent's (the root's) mutex, before it locks
+    # the node.  In the pause insert(131) stores into that still-linked,
+    # indexed, empty node through the index, with one probe and no guard.
+    # The resumed unlink pass finds the node non-empty under its mutex and
+    # leaves it linked and indexed.
+    fired = []
+
     def refill():
         assert node.value == 0 and not node.retired
-        mark = len(points)
+        fired.append(True)
+        index.probes = 0
         array.insert(131, "landed")
-        assert points[mark:] == [] and guard.acquires == []
+        assert (index.probes, guard.acquires) == (1, [])
 
-    hooks, armed, points = _run_once_at("delete-cleared", refill)
-    array = DcvebArray(branching=64, hooks=hooks)
+    array = DcvebArray(branching=64)
     array.insert(5, 5)
     array.insert(130, "drop")  # height 2; root children {0, 2}
     node = array._bottoms[2]
-    guard = array._ap_lock = _SpyGuard()
-    armed[0] = True
+    index = SpyIndex.install(array)
+    guard = SpyGuard.install(array)
+    root = array._params().root
+    root._mutex = RunOnEnter(root._mutex, refill)
     array.delete(130)
-    assert not armed[0]
+    assert fired == [True]
     assert guard.acquires == []
     assert array._params().root.children[2] is node and not node.retired
     assert array._bottoms[2] is node
@@ -719,15 +728,14 @@ def test_delete_of_a_retired_bottom_node_removes_nothing_else():
         array.insert(130, "new")
         seen["after"] = structure_fingerprint(array)
 
-    hooks, armed, points = _run_once_at("delete-path", rebuild)
-    array = DcvebArray(branching=64, hooks=hooks)
+    array = DcvebArray(branching=64)
     for key in (5, 130, 4000):
         array.insert(key, key)
-    armed[0] = True
-    points.clear()
+    unlinks = record_calls(array, "_unlink_path")
+    SpyIndex.install(array).arm(rebuild, after=True)
     array.delete(130)
     assert seen["stale"].retired
-    assert points.count("delete-cleared") == 1  # the inner delete's only
+    assert len(unlinks) == 1  # the inner delete's only
     assert structure_fingerprint(array) == seen["after"]
     assert array.get(130) == Entry(130, "new")
     assert quiescent_walk(array).ok()
@@ -735,23 +743,26 @@ def test_delete_of_a_retired_bottom_node_removes_nothing_else():
 
 def test_delete_walk_stops_at_a_trimmed_root():
     # delete(3) empties the bottom node A of the height-2 root R, reads the
-    # params (root R) and pauses.  In the pause delete(70) empties root
-    # child 1, so the trim pops R, publishes A as the root and retires R,
-    # which still holds A in slot 0.  The resumed unlink pass descends from
-    # R to A and tries to unlink A from R: R is retired, so it stops there
-    # and the published root A stays in use.
+    # params (root R), descends from R to A and pauses as it enters R's
+    # mutex to unlink A.  In the pause delete(70) empties root child 1, so
+    # the trim pops R, publishes A as the root and retires R, which still
+    # holds A in slot 0.  The resumed unlink pass finds R retired under its
+    # mutex, so it stops there and the published root A stays in use.
+    fired = []
+
     def evict():
+        fired.append(True)
         array.delete(70)
         assert array._params().root is bottom
 
-    hooks, armed, _ = _run_once_at("delete-cleared", evict)
-    array = DcvebArray(branching=64, hooks=hooks)
+    array = DcvebArray(branching=64)
     array.insert(3, "drop")
     array.insert(70, "evict")
     old_root = array._params().root
     bottom = old_root.children[0]
-    armed[0] = True
+    old_root._mutex = RunOnEnter(old_root._mutex, evict)
     array.delete(3)
+    assert fired == [True]
     assert old_root.retired
     assert old_root.children[0] is bottom
     assert array._params().root is bottom and not bottom.retired
@@ -776,19 +787,17 @@ def test_filled_slot_never_has_a_clear_bit_under_churn():
     # its bit set.  The unlocked sweeps catch a writer that fills a slot
     # before it sets the bit; the locked one cannot, since every writer
     # holds the node's mutex across both stores.
-    counts = {}
     residue = []
+    grown = []
+    trimmed = []
     stop = threading.Event()
     bad = []
     sweeps = [0]
 
-    def hooks(point):
-        counts[point] = counts.get(point, 0) + 1
-
     # every delete that empties its node makes one unlink pass; count only
     # the second, guarded pass, made when a growth or trim outran the first
-    array = DcvebArray(branching=4, key_bits=12, hooks=hooks)
-    guard = array._ap_lock = _SpyGuard()
+    array = DcvebArray(branching=4, key_bits=12)
+    guard = SpyGuard.install(array)
     unlink_path = array._unlink_path
 
     def counting_unlink_path(key, params):
@@ -797,6 +806,19 @@ def test_filled_slot_never_has_a_clear_bit_under_churn():
         unlink_path(key, params)
 
     array._unlink_path = counting_unlink_path
+
+    # only a growth publish raises the height and only a trim publish lowers
+    # it, so a call that saw the height move that way saw such a publish
+    def watching(method, moved, log):
+        def watched(*args):
+            height = array._ap.height
+            method(*args)
+            if moved(array._ap.height, height):
+                log.append(height)
+        return watched
+
+    array._grow = watching(array._grow, int.__gt__, grown)
+    array._trim_top = watching(array._trim_top, int.__lt__, trimmed)
 
     def writer(seed):
         rng = random.Random(seed)
@@ -862,7 +884,6 @@ def test_filled_slot_never_has_a_clear_bit_under_churn():
     assert not any(thread.is_alive() for thread in threads)
     assert bad == []
     assert sweeps[0] > 0
-    assert counts.get("grow-pre-publish", 0) > 0
-    assert counts.get("trim-pre-publish", 0) > 0
+    assert grown and trimmed
     assert residue
     assert quiescent_walk(array).ok()

@@ -1,6 +1,7 @@
 import pytest
 
 from dcveb.bench import WorkloadConfig
+from dcveb import scenarios
 from dcveb.core import DcvebArray
 from dcveb.scenarios import (
     run_scenario,
@@ -29,6 +30,25 @@ def test_scenario_registry():
 def test_scenarios_pass_repeatedly(name):
     report = run_scenario(name, iterations=25)
     assert report.passed, report.failures
+
+
+def test_run_scenario_stops_at_the_first_failing_iteration(monkeypatch):
+    # A scenario that fails (say, a pause that never fires and waits out its
+    # timeout) must not be run again: one failure settles the report.
+    calls = []
+
+    def failing():
+        calls.append(len(calls))
+        return ["pause never fired"]
+
+    monkeypatch.setitem(scenarios._SCENARIOS, "always-fails", failing)
+    report = run_scenario("always-fails", iterations=1000)
+    assert calls == [0]
+    assert report.iterations == 1
+    assert report.failures == [(0, ["pause never fired"])]
+    assert not report.passed
+    report = run_scenario("two-inserters-one-parent", iterations=3)
+    assert report.iterations == 3 and report.passed
 
 
 def test_stress_smoke():
