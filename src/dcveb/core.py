@@ -51,18 +51,18 @@ Concurrency contract:
   while it holds no other lock.
 * ``delete`` probes ``_bottoms`` and empties the entry's slot under the
   indexed node's mutex; a miss, a retired node or an empty slot ends it.
-  A node that keeps another entry ends it too, with no params read and no
-  guard.  A delete that empties its node reads the params and runs one
-  unlink pass: a lock-free descent from their root to the first clear bit,
-  then bottom-up one (parent, child) pair at a time, locking each pair
-  top-down, unlinking each child it finds empty and stopping at a parent
-  that keeps another child or is retired.  When the parameters moved under
-  the pass, it runs once more under the root guard's read lock.  The
-  delete takes the guard exclusively only while trimming.
+  A node that keeps another entry ends it too.  A delete that empties its
+  node climbs ``parent`` links from it in one unlink pass, one (parent,
+  child) pair at a time, locking each pair top-down, unlinking each child
+  it finds empty and stopping at a parent that keeps another child, is
+  retired, or is None.  A growth links the old root to the level it stacks
+  under that root's mutex, so the climb reaches stacked levels too.  The
+  delete reads no params and takes the guard only to trim, exclusively.
 * The guard is always taken before any node mutex: no writer holds a node
-  mutex while it takes the guard.  An insert's store and a delete that
-  keeps its node non-empty hold one node mutex and no guard.  An insert
-  holds one lock at a time, and no operation holds more than two.
+  mutex while it takes the guard.  The guard's holders are the insert's
+  descent, growth and trim; an insert's store and a delete's slot clear and
+  climb hold node mutexes only.  An insert holds one lock at a time, and
+  no operation holds more than two.
 
 Nodes detached from the tree stay readable by threads that still hold
 references (reclamation is deferred to the garbage collector), which is what
@@ -120,15 +120,21 @@ class Node:
     also under it, when the node leaves the tree, and never cleared.  A
     holder never takes another node's mutex except a child's, top-down.
     Readers load ``value`` and ``children`` plainly.
+
+    ``parent`` is the node whose slot holds this one.  ``cas_child`` sets it
+    under the parent's mutex before the slot store, and a growth that stacks
+    levels on an old root sets the old root's under that root's mutex.  A
+    root's ``parent`` is None, or the retired root a trim popped above it.
     """
 
-    __slots__ = ("value", "children", "_mutex", "retired")
+    __slots__ = ("value", "children", "_mutex", "retired", "parent")
 
     def __init__(self, n: int, bits: int):
         self.value = bits
         self.children = [None] * n
         self._mutex = threading.Lock()
         self.retired = False
+        self.parent = None
 
     def cas_child(self, pos: int, candidate: "Node") -> Optional["Node"]:
         """Install ``candidate`` at ``pos`` if the slot is empty, setting its
@@ -143,6 +149,7 @@ class Node:
                 return None
             current = self.children[pos]
             if current is None:
+                candidate.parent = self
                 self.value |= 1 << (len(self.children) - 1 - pos)
                 self.children[pos] = candidate
                 return candidate
@@ -451,7 +458,10 @@ class DcvebArray:
         reorganized.  An empty old root is dropped (retired) for one fresh
         empty root instead, so growth never leaves an all-zeros spine
         behind; a dropped height-1 root also leaves ``_bottoms``, and an
-        insert whose store takes its mutex afterwards descends again.
+        insert whose store takes its mutex afterwards descends again.  An
+        adopted old root's ``parent`` is set under its mutex: a delete's
+        climb that empties the old root either does so first, and this
+        growth drops it, or after, and then reads the link to the new level.
         """
         ap_lock = self._ap_lock
         ap_lock.acquire_write()
@@ -471,6 +481,7 @@ class DcvebArray:
                     for _ in range(height - params.height):
                         top = Node(n, child_mask(0, n))
                         top.children[0] = root
+                        root.parent = top  # first ``old``, under its mutex
                         root = top
                 self._ap = TreeParams(capacity(height, n), height, root,
                                       self._shift * (height - 1))
@@ -496,11 +507,8 @@ class DcvebArray:
         stayed present throughout.  A node that keeps another entry ends the
         call there, with no params read and no guard.
 
-        Only a delete that empties its node reads the params and runs
-        ``_unlink_path`` from their root.  If a growth or a trim published
-        new params meanwhile, that pass stopped at the root it read, so it
-        runs once more under the root guard's read lock, from the fresh
-        root.  Then ``_trim_top``.
+        Only a delete that empties its node runs ``_unlink_path`` from that
+        node, and then ``_trim_top``, the one step that takes the guard.
         """
         if type(key) is not int or key < 0 or key >= self._key_limit:
             self._check_key(key)
@@ -517,17 +525,7 @@ class DcvebArray:
             node.value = word
         if word:
             return
-        params = self._ap
-        self._unlink_path(key, params)
-        if self._ap is not params:
-            # the pass stopped at the root it read, below any levels a
-            # growth stacked on top since; one guarded pass strips them
-            ap_lock = self._ap_lock
-            ap_lock.acquire_read()
-            try:
-                self._unlink_path(key, self._ap)
-            finally:
-                ap_lock.release_read()
+        self._unlink_path(node, key)
         self._trim_top()
 
     def _clear_if_empty(self, node: Node, key: int, s: int, child: Node) -> bool:
@@ -541,10 +539,10 @@ class DcvebArray:
         insert that reaches ``child`` later finds it retired under its mutex
         and restarts, so an emptied child leaves the tree for good; a later
         insert under the same digit installs a fresh node.  A retired
-        ``node`` has left the tree itself (a trimmed old root still holds the
-        published root in slot 0), so nothing is unlinked from it.  Returns
-        True when ``node`` itself became empty: only then may the level above
-        need clearing too.
+        ``node`` has left the tree itself (a popped root still holds the
+        published root in slot 0, and is that root's ``parent``), so nothing
+        is unlinked from it.  Returns True when ``node`` itself became empty:
+        only then may the level above need clearing too.
         """
         digit = (key >> s) & self._mask
         bit = 1 << (self._n - 1 - digit)
@@ -566,60 +564,38 @@ class DcvebArray:
                         del bottoms[key >> s]
                 return word == 0
 
-    def _unlink_path(self, key: int, params: TreeParams) -> None:
-        """Unlink every empty node on ``key``'s path below ``params.root``.
+    def _unlink_path(self, node: Node, key: int) -> None:
+        """Unlink every empty node on ``key``'s path above the bottom node
+        ``node``, which the calling delete has just emptied.
 
-        Descends without locks from ``params.root``, keeping the nodes above
-        the stop point, and stops at the first clear bit.  Then, bottom-up,
-        ``_clear_if_empty`` unlinks each child that is verifiably empty and
-        clears its bit, and the pass stops at the first parent that keeps
-        another child or is retired.  It never clears a bit over a live
-        entry: emptiness is re-checked while holding both mutexes.
+        Climbs ``parent`` links: ``_clear_if_empty`` unlinks each child that
+        is verifiably empty and clears its bit, and the climb stops at a
+        parent that keeps another child, is retired, or is None (the root).
+        It never clears a bit over a live entry: emptiness is re-checked
+        while holding both mutexes.
 
-        A delete that empties its bottom node runs it from the root it read
-        after the clear.  A growth after that read may stack levels above
-        that root, which this pass cannot reach, so the delete runs it again
-        from the fresh root under the root guard's read lock: no growth or
-        trim publishes during that pass, so it reaches every stacked level.
-        A growth after the first pass finds an emptied old root under its
-        mutex and drops it, so no residue appears behind the pass.
+        Each link is read only after its node was emptied under its mutex.
+        A growth stacks levels on the old root under that same mutex, so
+        either it stacked first and the link already leads to the new level,
+        or it finds the root empty and drops it.  So the climb reaches every
+        level a growth stacked, with no guard and no params read.
         """
-        if key >= params.size:
-            return
-        n = self._n
-        shift = self._shift
-        mask = self._mask
-        s = params.top
-        node = params.root
-        path = []  # the nodes above ``node``, root first
-        while True:
-            digit = (key >> s) & mask
-            if node.value & (1 << (n - 1 - digit)) == 0:
-                break
-            child = node.children[digit]
-            if child is None or s == 0:
-                # an empty slot under a set bit, or an entry: either
-                # anchors every level above
-                return
-            path.append(node)
-            node = child
-            s -= shift
-        # stopped on a clear bit: that node may itself be an empty residue,
-        # so begin at the edge above it
         clear = self._clear_if_empty
-        for parent in reversed(path):
-            s += shift
-            if not clear(parent, key, s, node):
-                return
+        shift = self._shift
+        s = shift
+        parent = node.parent
+        while parent is not None and clear(parent, key, s, node):
             node = parent
+            parent = node.parent
+            s += shift
 
     def _trim_top(self) -> None:
         """Pop root levels while the root's only occupant is child 0.
 
         One level per iteration; the publish is re-validated and performed
         under the root guard, which keeps every insert out, plus the old
-        root's mutex, under which the popped root is retired.  An unlink
-        pass that started from it then stops there.
+        root's mutex, under which the popped root is retired.  It stays the
+        new root's ``parent``, so a climb that reaches it stops there.
         """
         n = self._n
         only_zero = child_mask(0, n)

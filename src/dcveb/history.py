@@ -16,8 +16,12 @@ import sys
 import threading
 from typing import Any, NamedTuple, Optional
 
+from .bench import join_workers, start_worker
 from .core import DcvebArray
 from .oracle import EMPTY_STATE, apply_op
+
+# seconds a recording's threads get before a hang counts as a deadlock
+_JOIN_SECONDS_CAP = 60.0
 
 
 class Event(NamedTuple):
@@ -87,7 +91,12 @@ def record_history(thread_count: int, ops_per_thread: int, key_range: int,
     """Run randomized operations on a fresh array, logging every event.
 
     The GIL switch interval is shrunk for the duration so that even very
-    short per-thread programs actually interleave.
+    short per-thread programs actually interleave.  The threads start with
+    ``bench.start_worker`` and share the failure policy of
+    ``bench.join_workers``: an operation that raises fails the call with
+    ``RuntimeError``, and a thread still running after ``_JOIN_SECONDS_CAP``
+    seconds with ``DeadlockSuspectedError``, instead of returning a
+    truncated history.
     """
     array = DcvebArray(branching=branching, key_bits=16)
     events: list[Event] = []
@@ -120,14 +129,12 @@ def record_history(thread_count: int, ops_per_thread: int, key_range: int,
             with events_lock:
                 events.append(Event(ticker.next(), thread_id, "respond", op, result))
 
-    threads = [threading.Thread(target=run, args=(t,)) for t in range(thread_count)]
+    errors: list = []
     old_interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        threads = [start_worker(errors, run, t) for t in range(thread_count)]
+        join_workers(threads, errors, _JOIN_SECONDS_CAP)
     finally:
         sys.setswitchinterval(old_interval)
     events.sort(key=lambda e: e.tick)

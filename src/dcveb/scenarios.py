@@ -5,17 +5,17 @@ design has to survive: a descending insert holding the root guard shared
 while a trim tries to pop its root; an insert about to store into a bottom
 node that a delete empties and unlinks, or into an empty root that a growth
 drops, so the insert's re-check fails and it descends; and a delete that has
-emptied its bottom node and read the parameters when the tree grows above
-them, so its unlink pass leaves a stale occupancy bit for its guarded second
-pass.  Every pause point is a :class:`RunOnEnter` stand-in for a node's
-mutex, since the array has no test hooks.  An insert's store is paused on
-its bottom node's mutex, a guarded descent on the mutex of the node whose
-child it installs (``cas_child`` runs under the guard's read lock), and a
-delete's unlink pass on the mutex of its emptied node's parent, the pass's
-first lock, taken after the delete has read the parameters.  A scenario
-whose pause never fires reports a failure, and ``run_scenario`` stops at
-the first failing iteration.  The stress workloads run on the benchmark's
-thread driver (``bench.run_workload``) and share its failure policy.
+emptied its bottom node when the tree grows above its root, so its unlink
+climb must follow the old root's new ``parent`` link into the stacked level.
+Every pause point is a :class:`RunOnEnter` stand-in for a node's mutex,
+since the array has no test hooks.  An insert's store is paused on its
+bottom node's mutex, a guarded descent on the mutex of the node whose child
+it installs (``cas_child`` runs under the guard's read lock), and a
+delete's unlink climb on the mutex of its emptied node's parent, the
+climb's first lock.  A scenario whose pause never fires reports a failure,
+and ``run_scenario`` stops at the first failing iteration.  The stress
+workloads run on ``bench.run_workload``, the benchmark's thread runner, and
+share its failure policy.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ class RunOnEnter:
 
     That first entry may be an insert's ``cas_child`` (under the root
     guard's read lock) or its entry store, a delete's slot clear, an unlink
-    pass's ``_clear_if_empty`` on the parent, or a growth or trim on the old
+    climb's ``_clear_if_empty`` on the parent, or a growth or trim on the old
     root (under the guard's write lock).  An action that raises leaves the
     real lock untaken."""
 
@@ -236,13 +236,13 @@ def _insert_vs_unlink() -> list[str]:
 
 
 def _grow_vs_delete_residue() -> list[str]:
-    """A delete empties the bottom node of a height-2 tree's only entry,
-    reads the parameters and parks as its unlink pass enters the old root's
-    mutex; then an insert grows the tree to height 3, adopting the old root,
-    which still claims the emptied node.  The pass from the old root can only
-    unlink up to that root, so the new top level is left claiming a
-    now-empty subtree; the delete's guarded second pass must strip that bit
-    before the delete returns."""
+    """A delete empties the bottom node of a height-2 tree's only entry and
+    parks as its unlink climb enters the old root's mutex; then an insert
+    grows the tree to height 3, adopting the old root, which still claims
+    the emptied node, and links it to the new top level.  The resumed climb
+    empties the old root and must then follow that link and strip the new
+    top's bit for it before the delete returns, or the top is left claiming
+    a now-empty subtree."""
     in_window = threading.Event()
     resume = threading.Event()
     array = DcvebArray(branching=64)
@@ -267,7 +267,7 @@ def _grow_vs_delete_residue() -> list[str]:
 
     problems = _run_pair(deleter, grower)
     if not in_window.is_set():
-        problems.append("unlink pass never paused on the root's mutex")
+        problems.append("unlink climb never paused on the root's mutex")
     if array.get(70) is not None:
         problems.append("deleted key still visible")
     entry = array.get(5000)

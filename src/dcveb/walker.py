@@ -5,7 +5,9 @@ height, and a full recursive walk of the tree must find every occupancy bit
 telling the truth (set implies a non-empty child subtree, clear implies an
 empty slot: deletes unlink every node they empty), nodes in every slot above
 the bottom level and entries in every bottom-level slot, each entry's key
-equal to its path key, no reachable node retired or holding its mutex, the
+equal to its path key, no reachable node retired or holding its mutex,
+every node's ``parent`` link naming the node whose slot holds it (the
+root's naming nothing, or a retired root that a trim popped), the
 bottom-node index holding exactly the reachable bottom-level nodes, each
 under its key prefix, and the set of live entries identical to what chained
 successor calls enumerate.  The walker also checks the closed-form bound on
@@ -47,6 +49,9 @@ def quiescent_walk(array) -> WalkReport:
         report.violations.append(("", "size-capacity-mismatch", params.size))
     if params.top != array._shift * (params.height - 1):
         report.violations.append(("", "top-shift-mismatch", params.top))
+    above = params.root.parent
+    if above is not None and not above.retired:
+        report.violations.append(("", "parent-link-mismatch", 0))
     entries: list = []
     bottoms: dict = {}
     _walk(params.root, 0, params.height, n, 0, "", report, entries, bottoms)
@@ -105,6 +110,9 @@ def _walk(node, level, height, n, key_prefix, path, report, entries, bottoms) ->
                 entries.append((key, child.value))
                 count = 1
             else:
+                if child.parent is not node:
+                    report.violations.append((where, "parent-link-mismatch",
+                                              level + 1))
                 count = _walk(child, level + 1, height, n, key, where, report,
                               entries, bottoms)
         if summary & (1 << (n - 1 - p)):

@@ -61,12 +61,14 @@ class SpyIndex(dict):
 
 
 class SpyGuard(FairRWLock):
-    """Root guard that logs every acquire and knows whether the calling
-    thread holds it for reading."""
+    """Root guard that logs every acquire, in ``acquires`` and per thread
+    ident in ``by_thread``, and knows whether the calling thread holds it for
+    reading."""
 
     def __init__(self):
         super().__init__()
         self.acquires = []
+        self.by_thread = {}
         self._reading = threading.local()
 
     @classmethod
@@ -77,8 +79,12 @@ class SpyGuard(FairRWLock):
     def held_for_reading(self):
         return getattr(self._reading, "held", False)
 
+    def _log(self, kind):
+        self.acquires.append(kind)
+        self.by_thread.setdefault(threading.get_ident(), []).append(kind)
+
     def acquire_read(self):
-        self.acquires.append("read")
+        self._log("read")
         super().acquire_read()
         self._reading.held = True
 
@@ -87,7 +93,7 @@ class SpyGuard(FairRWLock):
         super().release_read()
 
     def acquire_write(self):
-        self.acquires.append("write")
+        self._log("write")
         super().acquire_write()
 
 

@@ -449,9 +449,12 @@ class TestResidueAndTrim:
         for key in (3, 130, 5000):
             array.insert(key, key)
         before = structure_fingerprint(array)
-        for key in (0, 3, 131, 4095):
-            array._unlink_path(key, array._params())
+        bottoms = dict(array._bottoms)
+        assert len(bottoms) == 3
+        for prefix, node in bottoms.items():
+            array._unlink_path(node, prefix << array._shift)
         assert structure_fingerprint(array) == before
+        assert array._bottoms == bottoms
 
     def test_trim_noop_with_two_occupied_children(self):
         array = make_array()

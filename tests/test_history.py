@@ -1,6 +1,6 @@
 import pytest
 
-from dcveb.core import Entry
+from dcveb.core import DcvebArray, Entry
 from dcveb.history import (
     Event,
     MalformedHistoryError,
@@ -19,6 +19,15 @@ from crafted_histories import overlapping_insert_delete_get, violating_histories
 def test_empty_history_ok():
     result = check_linearizable([])
     assert result.ok and result.witness == []
+
+
+def test_record_history_reraises_worker_error(monkeypatch):
+    def crash(self, key):
+        raise KeyError(key)
+
+    monkeypatch.setattr(DcvebArray, "successor", crash)
+    with pytest.raises(RuntimeError, match="KeyError"):
+        record_history(3, 20, 8, seed=7)
 
 
 def test_single_thread_matches_program_order():

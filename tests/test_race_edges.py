@@ -11,6 +11,7 @@ import threading
 
 import pytest
 
+from dcveb.bitops import child_mask
 from dcveb.core import DcvebArray, Entry, Node
 from dcveb.scenarios import RunOnEnter
 from dcveb.walker import quiescent_walk, structure_fingerprint
@@ -742,12 +743,12 @@ def test_delete_of_a_retired_bottom_node_removes_nothing_else():
 
 
 def test_delete_walk_stops_at_a_trimmed_root():
-    # delete(3) empties the bottom node A of the height-2 root R, reads the
-    # params (root R), descends from R to A and pauses as it enters R's
-    # mutex to unlink A.  In the pause delete(70) empties root child 1, so
-    # the trim pops R, publishes A as the root and retires R, which still
-    # holds A in slot 0.  The resumed unlink pass finds R retired under its
-    # mutex, so it stops there and the published root A stays in use.
+    # delete(3) empties the bottom node A of the height-2 root R, climbs to
+    # A's parent R and pauses as it enters R's mutex to unlink A.  In the
+    # pause delete(70) empties root child 1, so the trim pops R, publishes A
+    # as the root and retires R, which still holds A in slot 0 and stays
+    # A's parent.  The resumed climb finds R retired under its mutex, so it
+    # stops there and the published root A stays in use.
     fired = []
 
     def evict():
@@ -764,7 +765,7 @@ def test_delete_walk_stops_at_a_trimmed_root():
     array.delete(3)
     assert fired == [True]
     assert old_root.retired
-    assert old_root.children[0] is bottom
+    assert old_root.children[0] is bottom and bottom.parent is old_root
     assert array._params().root is bottom and not bottom.retired
     writer = threading.Thread(target=array.insert, args=(5, "new"), daemon=True)
     writer.start()
@@ -775,37 +776,83 @@ def test_delete_walk_stops_at_a_trimmed_root():
     assert quiescent_walk(array).ok()
 
 
+def test_delete_climb_crosses_a_level_stacked_under_it():
+    # delete(5) empties the bottom node under child 1 of the height-2 root R
+    # and parks as its climb enters R's mutex.  In the pause insert(20)
+    # grows the tree to height 3: R still holds child 1, so the growth
+    # stacks a new top T on it and links R to T.  The resumed climb empties
+    # R, reads R's link, and clears T's bit 0, unlinking R.  The deleting
+    # thread takes no guard: only the growing insert does.
+    growers = []
+    stacked = []
+
+    def grow():
+        _start_grower(array, growers, 20)
+        growers[0].join(10)
+        stacked.append(array._params().root)
+
+    array = DcvebArray(branching=4, key_bits=6)
+    array.insert(5, 5)  # height 2; R holds only child 1
+    old_root = array._params().root
+    bottom = array._bottoms[1]
+    guard = SpyGuard.install(array)
+    old_root._mutex = RunOnEnter(old_root._mutex, grow)
+    array.delete(5)
+    assert not growers[0].is_alive(), "growth waited for the parked climb"
+    top = stacked[0]
+    assert top is array._params().root and top.children[1] is not None
+    assert old_root.parent is top and bottom.parent is old_root
+    assert old_root.retired and bottom.retired
+    assert top.children[0] is None and top.value == child_mask(1, 4)
+    assert threading.get_ident() not in guard.by_thread
+    assert list(guard.by_thread.values()) == [["read", "write", "read"]]
+    assert array.capacity_snapshot().height == 3
+    assert array.get(5) is None and array.get(20) == Entry(20, 20)
+    assert quiescent_walk(array).ok()
+
+
 def test_filled_slot_never_has_a_clear_bit_under_churn():
     # The lock-free queries trust a filled slot without reading its bit.
-    # Two writers churn keys through growths, guarded unlink passes and
-    # trims while a checker walks the tree from the published root, holding
-    # at most one node's mutex at a time: under it no filled slot may have a
-    # clear bit.
+    # Two writers churn keys through growths, unlink climbs and trims while
+    # a checker walks the tree from the published root, holding at most one
+    # node's mutex at a time: under it no filled slot may have a clear bit.
+    # Each writer deletes the low key it just inserted, so the root often
+    # holds only one writer's high key; that writer's delete then empties
+    # the root while the other writer's growth stacks levels on it, and its
+    # climb must go on into the stacked levels.
     # Between locked sweeps it makes unlocked ones, reading each slot, the
     # word and the slot again.  A slot is never refilled with an object it
     # held before, so a slot that held one object across the word read had
     # its bit set.  The unlocked sweeps catch a writer that fills a slot
     # before it sets the bit; the locked one cannot, since every writer
     # holds the node's mutex across both stores.
-    residue = []
+    crossed = []
     grown = []
     trimmed = []
     stop = threading.Event()
     bad = []
     sweeps = [0]
 
-    # every delete that empties its node makes one unlink pass; count only
-    # the second, guarded pass, made when a growth or trim outran the first
+    # A level above the root a delete's start saw can only have been stacked
+    # by a growth that published while that delete ran.  Log each climb step
+    # onto such a level that is still in the tree (unretired): the climb
+    # reached it through the old root's ``parent`` link.
     array = DcvebArray(branching=4, key_bits=12)
-    guard = SpyGuard.install(array)
-    unlink_path = array._unlink_path
+    started = threading.local()
+    delete = array.delete
+    clear_if_empty = array._clear_if_empty
 
-    def counting_unlink_path(key, params):
-        if guard.held_for_reading():
-            residue.append(key)
-        unlink_path(key, params)
+    def timed_delete(key):
+        started.top = array._ap.top
+        delete(key)
 
-    array._unlink_path = counting_unlink_path
+    def logged_clear_if_empty(parent, key, s, child):
+        if s > started.top and not parent.retired:
+            crossed.append((key, s))
+        return clear_if_empty(parent, key, s, child)
+
+    array.delete = timed_delete
+    array._clear_if_empty = logged_clear_if_empty
 
     # only a growth publish raises the height and only a trim publish lowers
     # it, so a call that saw the height move that way saw such a publish
@@ -825,7 +872,7 @@ def test_filled_slot_never_has_a_clear_bit_under_churn():
         while not stop.is_set():
             low = rng.randrange(16)
             array.insert(low, low)
-            array.delete(rng.randrange(16))
+            array.delete(low)
             high = rng.randrange(64, 1 << 12)
             array.insert(high, high)  # grows past height 3
             array.delete(high)  # trims back unless the other writer is high
@@ -885,5 +932,5 @@ def test_filled_slot_never_has_a_clear_bit_under_churn():
     assert bad == []
     assert sweeps[0] > 0
     assert grown and trimmed
-    assert residue
+    assert crossed
     assert quiescent_walk(array).ok()

@@ -78,8 +78,11 @@ def test_detects_node_in_bit_clear_slot():
     array = DcvebArray()
     array.insert(130, "C")
     # an empty node left linked under a clear bit: deletes unlink these.  It
-    # is a bottom-level node that no insert indexed
-    array._params().root.children[5] = Node(64, 0)
+    # is a bottom-level node that no insert indexed, linked to its parent as
+    # ``cas_child`` links every node it installs
+    root = array._params().root
+    stray = root.children[5] = Node(64, 0)
+    stray.parent = root
     report = quiescent_walk(array)
     assert report.violations == [("", "bit-clear-slot-occupied", 5),
                                  ("", "bottom-index-mismatch", 5)]
@@ -190,3 +193,23 @@ def test_detects_missing_bottom_index_item():
     report = quiescent_walk(array)
     assert report.violations == [("", "bottom-index-mismatch", 2)]
     assert array.get(130) is None  # get answers from the index alone
+
+
+def test_detects_parent_link_mismatch():
+    array = DcvebArray(branching=4, key_bits=8)
+    array.insert(20, "x")  # height 3: root -> /1 -> /1/1 -> entry 20
+    root = array._params().root
+    middle = root.children[1]
+    bottom = middle.children[1]
+    assert bottom.parent is middle and middle.parent is root
+    bottom.parent = root  # skips a level
+    report = quiescent_walk(array)
+    assert report.violations == [("/1/1", "parent-link-mismatch", 2)]
+    bottom.parent = middle
+    # a root links to nothing, or to a retired root a trim popped above it
+    above = Node(4, 0)
+    root.parent = above
+    report = quiescent_walk(array)
+    assert report.violations == [("", "parent-link-mismatch", 0)]
+    above.retired = True
+    assert quiescent_walk(array).ok()
