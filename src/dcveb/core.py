@@ -5,7 +5,7 @@ occupancy summary word, a ``retired`` mark and an array of child slots.  The
 slots of the bottom level hold immutable ``Entry(key, value)`` objects
 instead of nodes.  A key's path through the tree is its base-n digit
 expansion, and a dict indexes every bottom-level node by its key prefix, so
-``get`` touches one node and order queries search the bottom level first.
+``get`` touches one node and order queries start at the bottom level.
 The tree grows at the top by stacking new root levels above the old root
 when a key exceeds the current capacity, and trims root levels back off when
 only the leftmost subtree remains.  At the bottom it grows by installing
@@ -27,10 +27,10 @@ Concurrency contract:
   that has since been retired is empty for good: a reader that finds it
   retired, or finds its slot empty, answers "absent", which held at a
   moment inside the call.  ``get`` is one index probe and one slot read, and
-  ``delete`` starts the same way.  ``successor`` and ``predecessor`` start
-  at the indexed node, hop to the neighbouring prefix's indexed node when it
-  has nothing on the search side, and descend from the root only when the
-  index has no node for the current prefix.
+  ``delete`` starts the same way.  ``successor`` and ``predecessor`` make
+  the same one probe and then walk the tree: from the indexed node (or, on
+  a miss, the published root) they climb ``parent`` links to the first
+  ancestor with something on the search side and descend from it.
 * Every write to a node (its word, its slots, its ``retired`` mark) happens
   under the node's mutex, and a writer checks ``retired`` first.  A node is
   retired under its mutex at the moment it leaves the tree: when an unlink
@@ -68,9 +68,10 @@ Nodes detached from the tree stay readable by threads that still hold
 references (reclamation is deferred to the garbage collector), which is what
 lets the query paths run unlocked.
 
-Operations read a node's ``_mutex``, ``_ap_lock``, ``_bottoms`` and the
-helper methods through attributes at call time: the scripted races pause or
-count an operation by putting stand-ins for those objects in their place.
+Operations read a node's ``_mutex`` and ``parent``, ``_ap_lock``,
+``_bottoms`` and the helper methods through attributes at call time: the
+scripted races pause or count an operation by putting stand-ins for those
+objects in their place.
 """
 
 from __future__ import annotations
@@ -115,16 +116,21 @@ class Node:
     Writers set a bit before they fill its slot and empty a slot before they
     clear its bit, so a filled slot's bit is always set: queries read slots.
 
-    ``_mutex`` is the node's only lock object.  Every write to the node is
-    made under it, and only while ``retired`` is False; ``retired`` is set,
-    also under it, when the node leaves the tree, and never cleared.  A
-    holder never takes another node's mutex except a child's, top-down.
+    ``_mutex`` is the node's only lock object.  Every write to the node's
+    word, slots and mark is made under it, and only while ``retired`` is
+    False; ``retired`` is set, also under it, when the node leaves the
+    tree, and never cleared.  A holder never takes another node's mutex
+    except a child's, top-down.
     Readers load ``value`` and ``children`` plainly.
 
     ``parent`` is the node whose slot holds this one.  ``cas_child`` sets it
-    under the parent's mutex before the slot store, and a growth that stacks
-    levels on an old root sets the old root's under that root's mutex.  A
-    root's ``parent`` is None, or the retired root a trim popped above it.
+    under the parent's mutex before the slot store, so it is set before the
+    node becomes reachable.  Only a root's link changes later, and only
+    under the root guard's write lock: a growth that stacks levels on an old
+    root sets it, under that root's mutex, and a trim clears the new root's,
+    under the popped root's mutex, so the published root's ``parent`` is
+    None.  Order queries read ``parent`` without a lock to climb; deletes
+    read it after emptying the node under its mutex.
     """
 
     __slots__ = ("value", "children", "_mutex", "retired", "parent")
@@ -214,13 +220,12 @@ class DcvebArray:
     # -- queries (lock-free) ----------------------------------------------
     #
     # ``get`` reads the key's bottom node from ``_bottoms`` and one slot.
-    # ``successor`` and ``predecessor`` are one loop whose every pass starts
-    # with a bottom-level node: the one ``_bottoms`` holds for the current
-    # prefix, or, on an index miss, the one a descent from the root of the
-    # freshly read params reaches (the descent counts the digit shift down
-    # to 0).  A filled slot's bit is set, so only an empty slot sends them to
-    # the node's word, to move sideways.  The key check is inlined; only a
-    # bad key or an int subclass reaches ``_check_key``.
+    # ``successor`` and ``predecessor`` are one loop over one node at a
+    # time, tracking the node's digit shift ``s`` (0 at the bottom level)
+    # and ``at``, which caches ``key >> s`` so that an index hit reads its
+    # digit with one mask, as ``get`` does.  A filled slot's bit is set, so
+    # only an empty slot sends them to the node's word.  The key check is
+    # inlined; only a bad key or an int subclass reaches ``_check_key``.
 
     def get(self, key: int) -> Optional[Entry]:
         if type(key) is not int or key < 0 or key >= self._key_limit:
@@ -233,135 +238,123 @@ class DcvebArray:
     def successor(self, key: int) -> Optional[Entry]:
         """Entry with the smallest key' >= key, or None.
 
-        Takes no locks.  One loop; its first step is ``key``'s indexed
-        bottom node.  There an exact hit returns the entry, and a word that
-        shows a filled slot past ``key``'s digit returns that slot's entry
-        (one read: a delete may empty it, and then ``key`` moves to that
-        slot and the node is read again).  A bottom node with nothing past
-        the digit sends ``key`` to the next prefix and looks that prefix up
-        in ``_bottoms`` (the hop).  Only when the index has no node for the
-        current prefix does the loop descend from the root of freshly read
-        params, along ``key``'s filled slots and sideways past empty ones, to
-        the bottom node it then searches the same way; a node above the
-        bottom level with nothing past the digit moves ``key`` past its whole
-        range, and the loop probes the index again, unless ``key`` has
-        passed the published size, which answers None.  ``key`` only moves
-        forward, and a range is skipped only when a word read during the call
-        showed it empty, so an entry that stays present for the whole call
-        cannot be missed: its node stays indexed under its prefix.  Without
-        concurrent writers the hop and each restart from a higher level stop
-        at strictly higher levels: at most ``height`` of them.
+        Takes no locks.  One loop over one node at a time, at any level,
+        from ``key``'s indexed bottom node or, on an index miss, the
+        published root.  In each node it reads the slot at ``key``'s digit,
+        and only if that is empty the word, which moves ``key`` to the
+        nearest filled slot past the digit.  A filled slot is the answer at
+        the bottom level and is descended into above it.  A node with
+        nothing past the digit moves ``key`` past its range and the loop
+        climbs ``parent``, again while the digit wraps; None (past the root)
+        answers None.
+
+        ``key`` only moves forward, and past a range only when a node
+        covering it showed nothing there.  Each node read was in the tree
+        at some moment of the call.  An entry present for the whole call
+        keeps its bottom node and all its ancestors in the tree with its
+        path's bits set, so a node read that covers it is one of them and
+        shows it.  Without concurrent writers a call visits at most about
+        ``2 * height`` nodes: up to the root and down once.
         """
         if type(key) is not int or key < 0 or key >= self._key_limit:
             self._check_key(key)
         n = self._n
         shift = self._shift
         mask = self._mask
-        bottoms = self._bottoms
-        node = bottoms.get(key >> shift)
+        node = self._bottoms.get(key >> shift)
+        s = 0  # ``node``'s digit shift
+        at = key  # ``key >> s``: ``node``'s prefix, its digit included
+        if node is None:
+            params = self._ap
+            if key >= params.size:
+                return None
+            node = params.root
+            s = params.top
+            at = key >> s
         while True:
-            if node is not None:  # a bottom-level node: search it
-                digit = key & mask
-                child = node.children[digit]
-                if child is not None:
-                    return child
+            digit = at & mask
+            child = node.children[digit]
+            if child is None:
                 # slots past ``digit`` own the bits below its bit
                 above = node.value & ((1 << (mask - digit)) - 1)
-                if above:
-                    q = n - above.bit_length()
-                    child = node.children[q]
-                    if child is not None:
-                        return child
-                    key += q - digit
+                if not above:  # skip the node's range; climb while it wraps
+                    at = (at | mask) + 1
+                    while node is not None and not at & mask:
+                        at >>= shift
+                        s += shift
+                        node = node.parent
+                    if node is None:
+                        return None
+                    key = at << s
                     continue
-                s = 0  # the hop: on to the next prefix
-            else:
-                params = self._ap
-                if key >= params.size:
-                    return None
-                s = params.top
-                node = params.root
-                while s:
-                    digit = (key >> s) & mask
-                    child = node.children[digit]
-                    if child is not None:
-                        node = child
-                        s -= shift
-                        continue
-                    above = node.value & ((1 << (mask - digit)) - 1)
-                    if not above:
-                        break
-                    key = ((key >> s) - digit + n - above.bit_length()) << s
-                else:
-                    continue  # reached a bottom-level node
-            # nothing past ``digit`` at shift ``s``: skip the node's range
-            s += shift
-            key = ((key >> s) + 1) << s
-            # nothing since the word read is a call or a backward jump:
-            # under the GIL no thread ran in between
-            if key >= self._ap.size:
-                return None
-            node = bottoms.get(key >> shift)
+                q = n - above.bit_length()
+                child = node.children[q]
+                # move to slot ``q`` unless it is the answer: to read it
+                # again, or to descend into it
+                if child is None or s:
+                    at += q - digit
+                    key = at << s
+                    if child is None:
+                        continue  # emptied since the word read
+            if not s:
+                return child
+            node = child
+            s -= shift
+            at = key >> s
 
     def predecessor(self, key: int) -> Optional[Entry]:
         """Entry with the largest key' <= key, or None.
 
-        Mirror of successor: in a bottom node the nearest filled slot before
-        ``key``'s digit is the answer, the hop takes ``key`` to the last key
-        of the previous prefix, and above the bottom level a sideways move
-        takes it to the last key of the nearest occupied child before its
-        digit and a restart to one below the node's first key.  Each descent
-        from the root re-clamps ``key`` to the freshly read size.
+        Mirror of successor: an index miss clamps ``key`` to the published
+        size once, the word scan moves ``key`` to the last key of the
+        nearest filled slot before the digit, and a node with nothing before
+        the digit moves ``key`` to one below its range and climbs while the
+        digit wraps to the last slot.  A ``key`` below 0 wraps at every
+        level, so the climb ends past the root and answers None.
         """
         if type(key) is not int or key < 0 or key >= self._key_limit:
             self._check_key(key)
         n = self._n
         shift = self._shift
         mask = self._mask
-        bottoms = self._bottoms
-        node = bottoms.get(key >> shift)
+        node = self._bottoms.get(key >> shift)
+        s = 0  # ``node``'s digit shift
+        at = key  # ``key >> s``
+        if node is None:
+            params = self._ap
+            if key >= params.size:
+                key = params.size - 1
+            node = params.root
+            s = params.top
+            at = key >> s
         while True:
-            if node is not None:  # a bottom-level node: search it
-                digit = key & mask
-                child = node.children[digit]
-                if child is not None:
-                    return child
+            digit = at & mask
+            child = node.children[digit]
+            if child is None:
                 # slots before ``digit``, nearest first from bit 0 up
                 below = node.value >> (n - digit)
-                if below:
-                    q = digit - (below & -below).bit_length()
-                    child = node.children[q]
-                    if child is not None:
-                        return child
-                    key -= digit - q
+                if not below:  # skip the node's range; climb while it wraps
+                    at = (at & ~mask) - 1
+                    while node is not None and at & mask == mask:
+                        at >>= shift
+                        s += shift
+                        node = node.parent
+                    if node is None:
+                        return None
+                    key = ((at + 1) << s) - 1
                     continue
-                s = 0  # the hop: on to the previous prefix
-            else:
-                params = self._ap
-                if key >= params.size:
-                    key = params.size - 1
-                s = params.top
-                node = params.root
-                while s:
-                    digit = (key >> s) & mask
-                    child = node.children[digit]
-                    if child is not None:
-                        node = child
-                        s -= shift
+                q = digit - (below & -below).bit_length()
+                child = node.children[q]
+                if child is None or s:
+                    at += q - digit
+                    key = ((at + 1) << s) - 1
+                    if child is None:
                         continue
-                    below = node.value >> (n - digit)
-                    if not below:
-                        break
-                    q = digit - (below & -below).bit_length()
-                    key = (((key >> s) - digit + q + 1) << s) - 1
-                else:
-                    continue  # reached a bottom-level node
-            # nothing before ``digit`` at shift ``s``: skip the node's range
-            s += shift
-            key = ((key >> s) << s) - 1
-            if key < 0:
-                return None
-            node = bottoms.get(key >> shift)
+            if not s:
+                return child
+            node = child
+            s -= shift
+            at = key >> s
 
     def minimum(self) -> Optional[Entry]:
         return self.successor(0)
@@ -540,8 +533,9 @@ class DcvebArray:
         and restarts, so an emptied child leaves the tree for good; a later
         insert under the same digit installs a fresh node.  A retired
         ``node`` has left the tree itself (a popped root still holds the
-        published root in slot 0, and is that root's ``parent``), so nothing
-        is unlinked from it.  Returns True when ``node`` itself became empty:
+        published root in slot 0, and a climb that read the root's link
+        before the trim cleared it reaches it), so nothing is unlinked from
+        it.  Returns True when ``node`` itself became empty:
         only then may the level above need clearing too.
         """
         digit = (key >> s) & self._mask
@@ -594,8 +588,10 @@ class DcvebArray:
 
         One level per iteration; the publish is re-validated and performed
         under the root guard, which keeps every insert out, plus the old
-        root's mutex, under which the popped root is retired.  It stays the
-        new root's ``parent``, so a climb that reaches it stops there.
+        root's mutex, under which the popped root is retired and the new
+        root's ``parent`` cleared.  A climb that read the link before stops
+        at the retired root; one that reads it after stops at None, and no
+        chain of popped roots stays reachable from the published root.
         """
         n = self._n
         only_zero = child_mask(0, n)
@@ -614,9 +610,11 @@ class DcvebArray:
                         # fetch the lonely child under the mutex: its slot
                         # may have been emptied and refilled since the word
                         # was read
+                        child = root.children[0]
+                        child.parent = None
                         self._ap = TreeParams(
                             capacity(params.height - 1, n), params.height - 1,
-                            root.children[0], params.top - self._shift,
+                            child, params.top - self._shift,
                         )
                         root.retired = True
             finally:

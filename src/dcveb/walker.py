@@ -7,7 +7,7 @@ empty slot: deletes unlink every node they empty), nodes in every slot above
 the bottom level and entries in every bottom-level slot, each entry's key
 equal to its path key, no reachable node retired or holding its mutex,
 every node's ``parent`` link naming the node whose slot holds it (the
-root's naming nothing, or a retired root that a trim popped), the
+root's naming nothing), the
 bottom-node index holding exactly the reachable bottom-level nodes, each
 under its key prefix, and the set of live entries identical to what chained
 successor calls enumerate.  The walker also checks the closed-form bound on
@@ -49,8 +49,7 @@ def quiescent_walk(array) -> WalkReport:
         report.violations.append(("", "size-capacity-mismatch", params.size))
     if params.top != array._shift * (params.height - 1):
         report.violations.append(("", "top-shift-mismatch", params.top))
-    above = params.root.parent
-    if above is not None and not above.retired:
+    if params.root.parent is not None:
         report.violations.append(("", "parent-link-mismatch", 0))
     entries: list = []
     bottoms: dict = {}

@@ -1,9 +1,10 @@
 """Stand-ins for the objects ``DcvebArray`` reads through its attributes.
 
 ``SpyIndex`` replaces ``_bottoms`` and ``SpyGuard`` replaces ``_ap_lock``;
-a node's mutex is replaced with ``dcveb.scenarios.RunOnEnter``.  Together
-they pause an operation at a chosen point and count what a path touched,
-so core needs no hooks.
+a node's mutex is replaced with ``dcveb.scenarios.RunOnEnter``, and a
+node's ``parent`` with ``ActOnFirstRead``.  Together they pause an
+operation at a chosen point and count what a path touched, so core needs
+no hooks.
 """
 
 import threading
@@ -15,10 +16,10 @@ class SpyIndex(dict):
     """Bottom-node index that counts ``get`` probes, logs every item store,
     and can run one action just before or just after a chosen probe.
 
-    Every pass of an order query's loop makes exactly one probe, so the
-    restart of such a query is probe 2; a restart that ends the call makes
-    no probe.  ``insert`` and ``delete`` make one probe each before they
-    take any lock.
+    Every operation makes one probe before it takes any lock or reads any
+    node; an order query makes no other, since it leaves its start node by
+    climbing ``parent`` links.  A growth that drops an empty height-1 root
+    and the unlink of a bottom node probe once more each.
     """
 
     def __init__(self, items=()):
@@ -58,6 +59,23 @@ class SpyIndex(dict):
         self.stores.append((prefix, node._mutex.locked(), node.retired,
                             node.value, list(node.children)))
         super().__setitem__(prefix, node)
+
+
+class ActOnFirstRead:
+    """Stand-in for a node in another node's ``parent``: runs ``action`` on
+    its first attribute read, then forwards every read to ``node``.  A
+    climbing query reads the parent's slots first, so the action runs just
+    before the climb looks at the parent."""
+
+    def __init__(self, node, action):
+        self._node = node
+        self._action = action
+
+    def __getattr__(self, name):
+        action, self._action = self._action, None
+        if action is not None:
+            action()
+        return getattr(self._node, name)
 
 
 class SpyGuard(FairRWLock):

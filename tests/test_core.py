@@ -399,45 +399,86 @@ def test_queries_on_filled_slots_read_no_summary_word(branching):
     assert quiescent_walk(array).ok()
 
 
-class _SizeOnly:
-    """Published params that give their size and fail on any other read,
-    the root and its shift included."""
-
-    def __init__(self, size):
-        self.size = size
+class _NoParams:
+    """Published params that fail on any read."""
 
     def __getattr__(self, name):
         raise AssertionError("a query read the params' %s" % name)
 
 
+class _LoggedSlots(list):
+    """A node's slot list that logs the node of every slot read."""
+
+    def __init__(self, node, log):
+        super().__init__(node.children)
+        self._node, self._log = node, log
+
+    def __getitem__(self, pos):
+        self._log.append(self._node)
+        return super().__getitem__(pos)
+
+
 def test_dense_order_queries_hop_without_the_root():
     # Every prefix of a fanout-64, height-2 tree is indexed, so successor
     # just past a bottom node's last entry and predecessor just before its
-    # first hop to the neighbouring indexed node and never descend from the
-    # root.  (A successor's hop checks the size first.)  The hop is the
-    # call's second index probe.
+    # first climb from the indexed node to the root and descend into the
+    # neighbouring node: one index probe, and no params read.
     array = DcvebArray(branching=64, key_bits=12)
     for prefix in range(64):
         array.insert(prefix * 64 + 5, prefix)
         array.insert(prefix * 64 + 40, prefix)
     index = SpyIndex.install(array)
     params = array._ap
-    array._ap = _SizeOnly(params.size)
+    array._ap = _NoParams()
     try:
         for prefix in range(64):
             base = prefix * 64
             if prefix < 63:
                 index.probes = 0
                 assert array.successor(base + 41) == Entry(base + 69, prefix + 1)
-                assert index.probes == 2
+                assert index.probes == 1
             if prefix > 0:
                 index.probes = 0
                 assert array.predecessor(base + 4) == Entry(base - 24, prefix - 1)
-                assert index.probes == 2
+                assert index.probes == 1
             assert array.successor(base + 6) == Entry(base + 40, prefix)
             assert array.predecessor(base + 39) == Entry(base + 5, prefix)
     finally:
         array._ap = params
+    assert quiescent_walk(array).ok()
+
+
+@pytest.mark.parametrize("query,start,expected", [("successor", 1, 4095),
+                                                  ("predecessor", 4094, 0)])
+def test_order_query_climbs_the_full_height(query, start, expected):
+    # Fanout 2 over 12 key bits with keys 0 and 4095: the two entries share
+    # only the root, so successor(1) climbs from the bottom node holding 0
+    # to the root and descends the other side to 4095, and predecessor(4094)
+    # does the mirror.  One index probe, no params read, and the call visits
+    # ``2 * height - 1`` nodes: each level once on the way up, and each
+    # level below the root once on the way down.
+    array = DcvebArray(branching=2, key_bits=12)
+    array.insert(0, 0)
+    array.insert(4095, 4095)
+    height = array.capacity_snapshot().height
+    assert height == 12
+    log = []
+    pending = [array._params().root]
+    while pending:
+        node = pending.pop()
+        pending.extend(c for c in node.children if isinstance(c, Node))
+        node.children = _LoggedSlots(node, log)
+    index = SpyIndex.install(array)
+    params = array._ap
+    array._ap = _NoParams()
+    try:
+        assert getattr(array, query)(start) == Entry(expected, expected)
+    finally:
+        array._ap = params
+    assert index.probes == 1
+    # a run of slot reads in one node is one visit
+    visits = sum(1 for i, node in enumerate(log) if i == 0 or log[i - 1] is not node)
+    assert visits == 2 * height - 1
     assert quiescent_walk(array).ok()
 
 
@@ -455,6 +496,21 @@ class TestResidueAndTrim:
             array._unlink_path(node, prefix << array._shift)
         assert structure_fingerprint(array) == before
         assert array._bottoms == bottoms
+
+    def test_trim_leaves_no_popped_root_reachable(self):
+        # insert(60000) grows a fanout-4 tree to height 8 and delete(60000)
+        # trims it back to 1, popping seven roots.  Each pop clears the new
+        # root's link, so no popped root stays reachable from the root and a
+        # climb past the root stops at once.
+        array = DcvebArray(branching=4, key_bits=16)
+        array.insert(1, 1)
+        array.insert(60000, 60000)
+        assert array.capacity_snapshot().height == 8
+        array.delete(60000)
+        assert array.capacity_snapshot().height == 1
+        assert array._params().root.parent is None
+        assert array.successor(2) is None
+        assert quiescent_walk(array).ok()
 
     def test_trim_noop_with_two_occupied_children(self):
         array = make_array()
@@ -504,11 +560,10 @@ def test_query_fast_path_matches_oracle(branching, density):
     # get/successor/predecessor against the oracle, call by call: on an empty
     # tree, filled, after one grow and the trim back, and drained again.
     # Probes cover random keys, each inserted key and its neighbours, and keys
-    # at and above the capacity.  Both ways a non-exact answer is found must run:
-    # inside the node where the descent stopped, and after a restart from
-    # the root.  A call that returns an entry made one index probe per pass
-    # of its loop, so every probe after its first is a restart.
-    restarts = 0
+    # at and above the capacity.  Every call makes one index probe.  Both
+    # ways a non-exact answer is found must run: inside the start node (the
+    # answer shares the key's prefix) and after leaving it.
+    left = 0
     key_bits = 20
     rng = random.Random(branching * 2 + (density == "dense"))
     array = DcvebArray(branching=branching, key_bits=key_bits)
@@ -519,7 +574,7 @@ def test_query_fast_path_matches_oracle(branching, density):
     in_node = 0
 
     def check():
-        nonlocal in_node, restarts
+        nonlocal in_node, left
         size = array.capacity_snapshot().size
         probes = [rng.randrange(size) for _ in range(200)]
         for key in keys:
@@ -533,9 +588,13 @@ def test_query_fast_path_matches_oracle(branching, density):
                 index.probes = 0
                 got = getattr(array, query)(key)
                 assert got == getattr(table, query)(key), (query, key)
-                restarts += index.probes - 1
-                if index.probes == 1 and got is not None and got.key != key:
+                assert index.probes == 1, (query, key)
+                if got is None or got.key == key:
+                    continue
+                if got.key >> array._shift == key >> array._shift:
                     in_node += 1
+                else:
+                    left += 1
 
     check()  # empty
     for key in keys:
@@ -560,7 +619,7 @@ def test_query_fast_path_matches_oracle(branching, density):
         array.delete(key)
         table.delete(key)
     check()  # empty again
-    assert restarts > 0 and in_node > 0, (restarts, in_node)
+    assert left > 0 and in_node > 0, (left, in_node)
 
 
 @settings(max_examples=60, deadline=None)
@@ -569,10 +628,9 @@ def test_order_queries_match_oracle_within_height_restarts(branching, key_bits, 
     # Random inserts and deletes; after each one, successor and predecessor
     # at random keys and around every present key, minimum and maximum must
     # equal the oracle, and the walker (bottom-node index included) must find
-    # the tree clean through every grow, trim and unlink.  With no concurrent
-    # writer every restart stops at a strictly higher level, and a restart
-    # past the top level ends the call without probing the index, so one
-    # call makes at most ``height`` index probes.
+    # the tree clean through every grow, trim and unlink.  Every call makes
+    # exactly one index probe: a query that leaves its start node climbs
+    # ``parent`` links instead of probing again.
     array = DcvebArray(branching=branching, key_bits=key_bits)
     index = SpyIndex.install(array)
     table = OracleMap()
@@ -580,10 +638,9 @@ def test_order_queries_match_oracle_within_height_restarts(branching, key_bits, 
     keys = st.one_of(st.integers(0, min(top, 63)), st.integers(0, top))
 
     def check(query, *args):
-        height = array.capacity_snapshot().height
         index.probes = 0
         assert getattr(array, query)(*args) == getattr(table, query)(*args), (query, args)
-        assert index.probes <= height, (query, args, index.probes, height)
+        assert index.probes == 1, (query, args, index.probes)
 
     for insert, key in data.draw(st.lists(st.tuples(st.booleans(), keys), max_size=30)):
         if insert:

@@ -2,8 +2,9 @@
 of each operation's path.  Each race is paused through a stand-in for an
 object the array reads through an attribute: ``RunOnEnter`` on a node's
 mutex, ``SpyIndex`` on the bottom-node index (an action before or after its
-k-th probe), or a wrapped helper method; ``SpyGuard`` logs the root guard's
-acquires."""
+k-th probe), ``ActOnFirstRead`` in a node's ``parent`` (an action before a
+climbing query reads that parent), or a wrapped helper method; ``SpyGuard``
+logs the root guard's acquires."""
 
 import random
 import sys
@@ -15,7 +16,7 @@ from dcveb.bitops import child_mask
 from dcveb.core import DcvebArray, Entry, Node
 from dcveb.scenarios import RunOnEnter
 from dcveb.walker import quiescent_walk, structure_fingerprint
-from doubles import SpyGuard, SpyIndex, record_calls
+from doubles import ActOnFirstRead, SpyGuard, SpyIndex, record_calls
 
 
 def test_path_shape_of_each_operation():
@@ -54,8 +55,8 @@ def test_path_shape_of_each_operation():
     assert array.capacity_snapshot().height == 1
     # a delete of an absent key makes one probe and no pass
     assert shape("delete", 71) == (None, [], 1, 0, 0)
-    # a successor exact hit makes one probe; a restart that passes the size
-    # ends the call without a probe
+    # an order query makes one probe, whether it answers in its start node
+    # or climbs past the root to answer None
     assert shape("successor", 3) == (Entry(3, "keep"), [], 1, 0, 0)
     assert shape("successor", 4) == (None, [], 1, 0, 0)
     assert shape("predecessor", 63) == (Entry(3, "keep"), [], 1, 0, 0)
@@ -64,33 +65,40 @@ def test_path_shape_of_each_operation():
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 1: a restart skips a slot that an "
+                   reason="ROADMAP item 1: a climb skips a slot that an "
                    "insert fills behind it")
 def test_scan_skip_returns_key_never_least():
     # successor(1) finds nothing past slot 1 in the bottom node holding 0
-    # and restarts.  Before the restart's index probe (probe 2) insert(2)
-    # and then insert(6) complete.  The restart resumes past the node's
-    # range, at 4, and returns 6, but no state that held 6 lacked 2: a
-    # linearizable answer is 15 (before insert(2)) or 2 (after it).
+    # and climbs to the root.  Before it reads the root, insert(2) and then
+    # insert(6) complete.  The climb resumes past the node's range, at 4,
+    # and returns 6, but no state that held 6 lacked 2: a linearizable
+    # answer is 15 (before insert(2)) or 2 (after it).
     array = DcvebArray(branching=4, key_bits=4)
     array.insert(0, 0)
     array.insert(15, 15)
-    index = SpyIndex.install(array)
+    bottom = array._bottoms[0]
+    fired = []
 
     def fill():
+        fired.append(True)
         array.insert(2, 2)
         array.insert(6, 6)
 
-    index.arm(fill, probe=2)
+    bottom.parent = ActOnFirstRead(bottom.parent, fill)
     result = array.successor(1)
+    if fired != [True]:
+        # not an AssertionError: a pause that never fires must not pass as
+        # the expected failure
+        raise RuntimeError("the climb never read the root")
     assert result in (Entry(15, 15), Entry(2, 2))
 
 
 def test_restart_sees_growth_made_inside_it():
     # successor(1) finds the lone height-1 root through the index.  Right
-    # after that probe, insert(20) grows the tree to height 3.  The root has
-    # nothing past slot 1, so the call restarts; the restart reads the fresh
-    # params, so it finds 20 instead of stopping at the old capacity.
+    # after that probe, insert(20) grows the tree to height 3, stacking two
+    # levels on the root.  The root has nothing past slot 1, so the call
+    # climbs; the growth linked the root to the level stacked on it, so the
+    # climb finds 20 instead of stopping at the old capacity.
     array = DcvebArray(branching=4, key_bits=8)
     array.insert(0, 0)
     assert array.capacity_snapshot().height == 1
@@ -413,17 +421,19 @@ def test_index_hit_store_leaks_no_mutex(assert_no_lock_held):
 
 
 @pytest.mark.parametrize("query", ["successor", "predecessor"])
-def test_hop_that_misses_the_index_descends_from_the_root(query):
+def test_climb_passes_a_neighbour_unlinked_during_it(query):
     # The query finds nothing on its search side in its own bottom node and
-    # hops to the neighbouring prefix.  Before the hop's index probe (probe
-    # 2), a delete removes that neighbour's only entry, which unlinks and
-    # de-indexes its node.  The hop misses, descends from the root, and
-    # returns the next live entry beyond the emptied prefix.
+    # climbs to the root.  Before it reads the root, a delete removes the
+    # neighbouring prefix's only entry, which unlinks and de-indexes its
+    # node and clears the root's bit for it.  The climb finds that slot
+    # empty, moves past it on the root's word, and returns the next live
+    # entry beyond the emptied prefix, with no index probe after its first.
     fired = []
 
     def evict():
-        fired.append(neighbour)
+        fired.append(index.probes)
         array.delete(neighbour)
+        index.probes = 0
 
     array = DcvebArray(branching=64, key_bits=12)
     if query == "successor":
@@ -433,10 +443,15 @@ def test_hop_that_misses_the_index_descends_from_the_root(query):
     for key in keys:
         array.insert(key, key)
     assert neighbour >> 6 in array._bottoms
-    SpyIndex.install(array).arm(evict, probe=2)
+    bottom = array._bottoms[start >> 6]
+    root = bottom.parent
+    bottom.parent = ActOnFirstRead(root, evict)
+    index = SpyIndex.install(array)
     assert getattr(array, query)(start) == Entry(expected, expected)
-    assert fired == [neighbour]
+    assert (fired, index.probes) == ([1], 0)
     assert neighbour >> 6 not in array._bottoms
+    assert root.children[neighbour >> 6] is None
+    bottom.parent = root
     assert quiescent_walk(array).ok()
 
 
@@ -746,9 +761,10 @@ def test_delete_walk_stops_at_a_trimmed_root():
     # delete(3) empties the bottom node A of the height-2 root R, climbs to
     # A's parent R and pauses as it enters R's mutex to unlink A.  In the
     # pause delete(70) empties root child 1, so the trim pops R, publishes A
-    # as the root and retires R, which still holds A in slot 0 and stays
-    # A's parent.  The resumed climb finds R retired under its mutex, so it
-    # stops there and the published root A stays in use.
+    # as the root with no parent and retires R, which still holds A in slot
+    # 0.  The resumed climb read A's link before the trim, finds R retired
+    # under its mutex, so it stops there and the published root A stays in
+    # use.
     fired = []
 
     def evict():
@@ -765,7 +781,7 @@ def test_delete_walk_stops_at_a_trimmed_root():
     array.delete(3)
     assert fired == [True]
     assert old_root.retired
-    assert old_root.children[0] is bottom and bottom.parent is old_root
+    assert old_root.children[0] is bottom and bottom.parent is None
     assert array._params().root is bottom and not bottom.retired
     writer = threading.Thread(target=array.insert, args=(5, "new"), daemon=True)
     writer.start()

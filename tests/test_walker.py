@@ -206,10 +206,13 @@ def test_detects_parent_link_mismatch():
     report = quiescent_walk(array)
     assert report.violations == [("/1/1", "parent-link-mismatch", 2)]
     bottom.parent = middle
-    # a root links to nothing, or to a retired root a trim popped above it
+    # a root links to nothing, not even to a retired root a trim popped
     above = Node(4, 0)
     root.parent = above
     report = quiescent_walk(array)
     assert report.violations == [("", "parent-link-mismatch", 0)]
     above.retired = True
+    report = quiescent_walk(array)
+    assert report.violations == [("", "parent-link-mismatch", 0)]
+    root.parent = None
     assert quiescent_walk(array).ok()
