@@ -2,11 +2,11 @@
 
 Public surface: the concurrent structure itself (:class:`DcvebArray`), the
 sequential oracle used as ground truth, the concurrency harness (history
-recording, linearizability checking, scripted races, stress, quiescent
-walking) and the benchmark workload runner.
+recording, linearizability checking, successor liveness, quiescent walking)
+and the benchmark workload runner.  The scripted races live with the tests.
 """
 
-from .bench import DeadlockSuspectedError
+from .bench import DeadlockSuspectedError, successor_liveness_run
 from .core import Capacity, DcvebArray, Entry
 from .history import (
     CheckResult,
@@ -21,13 +21,6 @@ from .history import (
 )
 from .oracle import OracleMap, apply_op
 from .rwlock import FairRWLock
-from .scenarios import (
-    ScenarioReport,
-    run_scenario,
-    scenario_names,
-    stress,
-    successor_liveness_run,
-)
 from .walker import WalkReport, quiescent_walk, structure_fingerprint
 
 __all__ = [
@@ -40,7 +33,6 @@ __all__ = [
     "FairRWLock",
     "MalformedHistoryError",
     "OracleMap",
-    "ScenarioReport",
     "WalkReport",
     "apply_op",
     "check_linearizable",
@@ -49,9 +41,6 @@ __all__ = [
     "quiescent_walk",
     "record_history",
     "replay_witness",
-    "run_scenario",
-    "scenario_names",
-    "stress",
     "structure_fingerprint",
     "successor_liveness_run",
     "write_history",

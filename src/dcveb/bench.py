@@ -6,9 +6,10 @@ Each thread's wall time is measured, and so is each repeat's, from the first
 worker's start to the last join; aggregate throughput is all calls over the
 repeats' wall time.  Key sequences are derived from (seed, group, thread
 index) only, so every adapter sees identical work.
-``run_workload`` is the one thread driver: ``scenarios.stress`` is this
-driver plus a quiescent walk, and both fail the same way (see
-``join_workers``).
+``run_workload`` is the one thread driver; the stress tests run it on a
+``DcvebArray`` and then walk the tree.  ``successor_liveness_run`` races
+ceiling queries against churn on the same worker helpers, so every run
+fails the same way (see ``join_workers``).
 
 Run as a CLI::
 
@@ -231,6 +232,56 @@ def run_workload(config: WorkloadConfig, structure=None) -> RunResult:
         result.wall_seconds.append(time.perf_counter() - min(starts))
         result.timings.extend(timings)
     return result
+
+
+def successor_liveness_run(total_queries: int = 100_000, query_threads: int = 4,
+                           churn_threads: int = 4, key_span: int = 4096,
+                           seed: int = 0, branching: int = 64) -> int:
+    """Race ceiling queries against insert/delete churn below a pinned key.
+
+    The largest key in the span is inserted once and never deleted, so every
+    query at or below it has a qualifying entry present for the whole call
+    and must not come back empty.  Returns the number of empty results; a
+    worker exception is re-raised as ``RuntimeError`` (``join_workers``).
+    """
+    array = DcvebArray(branching=branching)
+    sentinel = key_span - 1
+    array.insert(sentinel, "pinned")
+    stop = threading.Event()
+    none_count = [0]
+    count_lock = threading.Lock()
+    per_thread = total_queries // query_threads
+
+    def querier(index: int):
+        randrange = random.Random(thread_seed(seed, "querier", index)).randrange
+        misses = 0
+        for _ in range(per_thread):
+            if array.successor(randrange(sentinel + 1)) is None:
+                misses += 1
+        if misses:
+            with count_lock:
+                none_count[0] += misses
+
+    def churner(index: int):
+        randrange = random.Random(thread_seed(seed, "churner", index)).randrange
+        while not stop.is_set():
+            key = randrange(sentinel)
+            array.insert(key, key)
+            array.delete(key)
+
+    errors: list = []
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        churners = [start_worker(errors, churner, i) for i in range(churn_threads)]
+        queriers = [start_worker(errors, querier, i) for i in range(query_threads)]
+        for t in queriers:
+            t.join()
+    finally:
+        stop.set()  # the churners exit even when the main thread is interrupted
+        sys.setswitchinterval(old_interval)
+    join_workers(churners + queriers, errors)
+    return none_count[0]
 
 
 CSV_HEADER = "structure,g,i,r,s,z,m,seed,repeat,group,thread,millis"

@@ -207,9 +207,6 @@ class DcvebArray:
         params = self._ap
         return Capacity(params.size, params.height)
 
-    def _params(self) -> TreeParams:
-        return self._ap
-
     def _check_key(self, key) -> None:
         if (not isinstance(key, int) or isinstance(key, bool)
                 or key < 0 or key >= self._key_limit):

@@ -51,19 +51,6 @@ class _OpRecord(NamedTuple):
     responded: int
 
 
-class _Ticker:
-    __slots__ = ("_lock", "_value")
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._value = 0
-
-    def next(self) -> int:
-        with self._lock:
-            self._value += 1
-            return self._value
-
-
 _MUTATOR_WEIGHTS = (
     ("insert", 30),
     ("delete", 25),
@@ -101,7 +88,6 @@ def record_history(thread_count: int, ops_per_thread: int, key_range: int,
     array = DcvebArray(branching=branching, key_bits=16)
     events: list[Event] = []
     events_lock = threading.Lock()
-    ticker = _Ticker()
     barrier = threading.Barrier(thread_count)
     value_counter = iter(range(1, 1 << 30))
 
@@ -110,11 +96,13 @@ def record_history(thread_count: int, ops_per_thread: int, key_range: int,
         rng = random.Random(seed * 1_000_003 + t)
         plans.append([_random_op(rng, key_range, value_counter) for _ in range(ops_per_thread)])
 
+    # an event's tick is its 1-based position: every append happens under
+    # ``events_lock``, so the list is already in tick order
     def run(thread_id: int) -> None:
         barrier.wait()
         for op in plans[thread_id]:
             with events_lock:
-                events.append(Event(ticker.next(), thread_id, "invoke", op, None))
+                events.append(Event(len(events) + 1, thread_id, "invoke", op, None))
             name = op[0]
             if name == "insert":
                 result = array.insert(op[1], op[2])
@@ -127,7 +115,7 @@ def record_history(thread_count: int, ops_per_thread: int, key_range: int,
             else:
                 result = array.predecessor(op[1])
             with events_lock:
-                events.append(Event(ticker.next(), thread_id, "respond", op, result))
+                events.append(Event(len(events) + 1, thread_id, "respond", op, result))
 
     errors: list = []
     old_interval = sys.getswitchinterval()
@@ -137,7 +125,6 @@ def record_history(thread_count: int, ops_per_thread: int, key_range: int,
         join_workers(threads, errors, _JOIN_SECONDS_CAP)
     finally:
         sys.setswitchinterval(old_interval)
-    events.sort(key=lambda e: e.tick)
     return events
 
 

@@ -40,7 +40,7 @@ class WalkReport:
 
 def quiescent_walk(array) -> WalkReport:
     """Verify all quiescent invariants of ``array``; callers own quiescence."""
-    params = array._params()
+    params = array._ap
     n = array.branching
     report = WalkReport(height=params.height, size=params.size)
     if params.height < 1:
@@ -152,7 +152,7 @@ def structure_fingerprint(array) -> tuple:
     words, entries and published parameters, so their future sequential
     behavior is identical.
     """
-    params = array._params()
+    params = array._ap
     return (
         params.size,
         params.height,

@@ -1,10 +1,10 @@
 """Stand-ins for the objects ``DcvebArray`` reads through its attributes.
 
 ``SpyIndex`` replaces ``_bottoms`` and ``SpyGuard`` replaces ``_ap_lock``;
-a node's mutex is replaced with ``dcveb.scenarios.RunOnEnter``, and a
-node's ``parent`` with ``ActOnFirstRead``.  Together they pause an
-operation at a chosen point and count what a path touched, so core needs
-no hooks.
+a node's mutex is replaced with ``RunOnEnter``, and a node's ``parent``
+with ``ActOnFirstRead``.  Together they pause an operation at a chosen
+point and count what a path touched, so core needs no hooks and every
+scripted race is a plain test in ``test_race_edges``.
 """
 
 import threading
@@ -61,6 +61,41 @@ class SpyIndex(dict):
         super().__setitem__(prefix, node)
 
 
+class RunOnEnter:
+    """Stand-in for a node's mutex that runs ``action`` once, on the first
+    ``with`` entry or ``acquire`` call, before taking the real lock.
+
+    That first entry may be an insert's ``cas_child`` (under the root
+    guard's read lock) or its entry store, a delete's slot clear, an unlink
+    climb's ``_clear_if_empty`` on the parent, or a growth or trim on the old
+    root (under the guard's write lock).  An action that raises leaves the
+    real lock untaken."""
+
+    def __init__(self, lock, action):
+        self._lock = lock
+        self._action = action
+        self.locked = lock.locked
+
+    def _run_action(self):
+        action, self._action = self._action, None
+        if action is not None:
+            action()
+
+    def acquire(self, *args):
+        self._run_action()
+        return self._lock.acquire(*args)
+
+    def release(self):
+        self._lock.release()
+
+    def __enter__(self):
+        self._run_action()
+        return self._lock.__enter__()
+
+    def __exit__(self, *exc):
+        return self._lock.__exit__(*exc)
+
+
 class ActOnFirstRead:
     """Stand-in for a node in another node's ``parent``: runs ``action`` on
     its first attribute read, then forwards every read to ``node``.  A
@@ -80,13 +115,15 @@ class ActOnFirstRead:
 
 class SpyGuard(FairRWLock):
     """Root guard that logs every acquire, in ``acquires`` and per thread
-    ident in ``by_thread``, and knows whether the calling thread holds it for
-    reading."""
+    ident in ``by_thread``, knows whether the calling thread holds it for
+    reading, and sets ``write_queued`` once a write acquire has queued to
+    wait for the holders."""
 
     def __init__(self):
         super().__init__()
         self.acquires = []
         self.by_thread = {}
+        self.write_queued = threading.Event()
         self._reading = threading.local()
 
     @classmethod
@@ -113,6 +150,11 @@ class SpyGuard(FairRWLock):
     def acquire_write(self):
         self._log("write")
         super().acquire_write()
+
+    def _enqueue_locked(self, group):
+        super()._enqueue_locked(group)
+        if group.kind == "w":
+            self.write_queued.set()
 
 
 def record_calls(array, name):

@@ -15,8 +15,10 @@ from dcveb.bench import (
     emit_csv,
     main,
     run_workload,
+    successor_liveness_run,
 )
-from dcveb.core import Entry
+from dcveb.core import DcvebArray, Entry
+from dcveb.walker import quiescent_walk, structure_fingerprint
 
 
 class RecordingAdapter:
@@ -75,6 +77,13 @@ def test_invalid_configs_rejected():
         WorkloadConfig(getters=1, repeats=0).validate()
     with pytest.raises(ValueError):
         WorkloadConfig(getters=1, seconds_cap=0).validate()
+    # run_workload validates before any thread touches the caller's array
+    array = DcvebArray()
+    with pytest.raises(ValueError):
+        run_workload(WorkloadConfig(ops=10), array)
+    with pytest.raises(ValueError):
+        run_workload(WorkloadConfig(inserters=1, ops=10, key_range=0), array)
+    assert array.minimum() is None
 
 
 @pytest.mark.parametrize("structure", ["dcveb", "locked-oracle"])
@@ -232,3 +241,70 @@ def test_cli_rejects_unknown_structure(capsys):
 def test_cli_rejects_zero_threads(capsys):
     code = main(["--ops", "10"])
     assert code == 2
+
+
+def test_stress_smoke():
+    array = DcvebArray()
+    config = WorkloadConfig(getters=2, inserters=2, removers=2, successors=2,
+                            ops=2000, key_range=512, seed=3, seconds_cap=60)
+    run_workload(config, array)
+    report = quiescent_walk(array)
+    assert report.ok(), report.violations
+
+
+def test_stress_single_thread_deterministic():
+    reports = []
+    for _ in range(2):
+        array = DcvebArray()
+        run_workload(WorkloadConfig(inserters=1, ops=3000, key_range=256,
+                                    seed=9, seconds_cap=60), array)
+        reports.append(quiescent_walk(array))
+    assert reports[0] == reports[1]
+    assert reports[0].element_count > 0
+
+
+def test_read_only_workload_leaves_structure_identical():
+    array = DcvebArray()
+    for key in range(0, 3000, 3):
+        array.insert(key, key)
+    before = structure_fingerprint(array)
+    config = WorkloadConfig(getters=8, ops=5000, key_range=4096,
+                            seed=1, seconds_cap=60)
+    run_workload(config, array)
+    report = quiescent_walk(array)
+    assert report.ok(), report.violations
+    assert structure_fingerprint(array) == before
+
+
+def test_insert_only_workload_hits_node_bound():
+    array = DcvebArray()
+
+    def insert_all():
+        for key in range(4096):
+            array.insert(key, key)
+
+    threads = [threading.Thread(target=insert_all) for _ in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(60)
+    report = quiescent_walk(array)
+    assert report.ok(), report.violations
+    assert report.element_count == 4096
+    assert report.internal_node_count <= (64**2 - 1) // 63
+
+
+def test_successor_liveness_smoke():
+    misses = successor_liveness_run(total_queries=20_000, query_threads=2,
+                                    churn_threads=2, key_span=512, seed=7)
+    assert misses == 0
+
+
+def test_successor_liveness_reraises_worker_error(monkeypatch):
+    def crash(self, key):
+        raise KeyError(key)
+
+    monkeypatch.setattr(DcvebArray, "successor", crash)
+    with pytest.raises(RuntimeError, match="KeyError"):
+        successor_liveness_run(total_queries=200, query_threads=2,
+                               churn_threads=2, key_span=64, seed=7)

@@ -102,7 +102,7 @@ class TestInsertGet:
         assert array.capacity_snapshot() == Capacity(4096, 2)
         assert array.get(70) == Entry(70, "B")
         # the empty old root was dropped, not adopted as child 0
-        assert array._params().root.children[0] is None
+        assert array._ap.root.children[0] is None
         assert quiescent_walk(array).ok()
 
     def test_duplicate_insert_overwrites(self):
@@ -165,7 +165,7 @@ class TestDelete:
         array = make_array()
         array.insert(5, "A")
         array.delete(5)
-        root = array._params().root
+        root = array._ap.root
         assert root.value == 0
         assert all(child is None for child in root.children)
         assert quiescent_walk(array).ok()
@@ -174,7 +174,7 @@ class TestDelete:
         array = make_array()
         array.insert(130, "A")  # digits (2, 2)
         array.insert(131, "B")  # digits (2, 3)
-        root = array._params().root
+        root = array._ap.root
         parent = root.children[2]
         array.delete(130)
         # parent stays in place, keeps exactly the sibling's bit and has the
@@ -190,11 +190,11 @@ class TestDelete:
         array = make_array()
         array.insert(5, "low")        # root child 0
         array.insert(64 * 64 + 3, "deep")  # three-level path after growth
-        root = array._params().root
+        root = array._ap.root
         array.delete(64 * 64 + 3)
         assert array.get(5) == Entry(5, "low")
         # root still anchors the subtree holding key 5
-        assert root is not array._params().root or root.value != 0
+        assert root is not array._ap.root or root.value != 0
         assert quiescent_walk(array).ok()
 
     def test_delete_then_successor(self):
@@ -215,7 +215,7 @@ class TestDelete:
         array = make_array()
         array.insert(130, "A")
         array.insert(131, "B")
-        root = array._params().root
+        root = array._ap.root
         parent = root.children[2]
         old = parent.children[2]
         array.delete(130)
@@ -229,7 +229,7 @@ class TestDelete:
         array = make_array()
         array.insert(130, "A")  # digits (2, 2)
         array.insert(200, "B")  # digits (3, 8)
-        root = array._params().root
+        root = array._ap.root
         array.delete(130)
         # the emptied parent leaves the root's slot; its sibling stays
         assert root.children[2] is None
@@ -338,7 +338,7 @@ def test_detached_nodes_stay_empty_and_leave_the_bottom_index():
     array = DcvebArray(branching=4, key_bits=8)
     array.insert(0, 0)
     array.insert(37, 37)  # grows to height 3; digits (2, 1, 1)
-    stale = array._params()
+    stale = array._ap
     upper = stale.root.children[2]
     lower = upper.children[1]
     assert array._bottoms[37 >> 2] is lower
@@ -380,7 +380,7 @@ def test_queries_on_filled_slots_read_no_summary_word(branching):
         array.insert(key, key)
     absent = set(rng.sample(range(1 << 16), 300)) - set(present)
     words = []
-    pending = [array._params().root]
+    pending = [array._ap.root]
     while pending:
         node = pending.pop()
         words.append((node, node.value))
@@ -418,7 +418,7 @@ class _LoggedSlots(list):
         return super().__getitem__(pos)
 
 
-def test_dense_order_queries_hop_without_the_root():
+def test_dense_order_queries_climb_without_params():
     # Every prefix of a fanout-64, height-2 tree is indexed, so successor
     # just past a bottom node's last entry and predecessor just before its
     # first climb from the indexed node to the root and descend into the
@@ -463,7 +463,7 @@ def test_order_query_climbs_the_full_height(query, start, expected):
     height = array.capacity_snapshot().height
     assert height == 12
     log = []
-    pending = [array._params().root]
+    pending = [array._ap.root]
     while pending:
         node = pending.pop()
         pending.extend(c for c in node.children if isinstance(c, Node))
@@ -508,7 +508,7 @@ class TestResidueAndTrim:
         assert array.capacity_snapshot().height == 8
         array.delete(60000)
         assert array.capacity_snapshot().height == 1
-        assert array._params().root.parent is None
+        assert array._ap.root.parent is None
         assert array.successor(2) is None
         assert quiescent_walk(array).ok()
 
@@ -624,7 +624,7 @@ def test_query_fast_path_matches_oracle(branching, density):
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from([2, 4, 64]), st.integers(1, 40), st.data())
-def test_order_queries_match_oracle_within_height_restarts(branching, key_bits, data):
+def test_order_queries_match_oracle_with_one_probe(branching, key_bits, data):
     # Random inserts and deletes; after each one, successor and predecessor
     # at random keys and around every present key, minimum and maximum must
     # equal the oracle, and the walker (bottom-node index included) must find

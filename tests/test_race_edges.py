@@ -1,10 +1,16 @@
-"""Targeted interleavings for the delete/rebuild edge cases, plus the shape
-of each operation's path.  Each race is paused through a stand-in for an
-object the array reads through an attribute: ``RunOnEnter`` on a node's
-mutex, ``SpyIndex`` on the bottom-node index (an action before or after its
-k-th probe), ``ActOnFirstRead`` in a node's ``parent`` (an action before a
-climbing query reads that parent), or a wrapped helper method; ``SpyGuard``
-logs the root guard's acquires."""
+"""Every scripted race, one test each, plus the shape of each operation's
+path.  Each race is paused through a stand-in for an object the array reads
+through an attribute: ``RunOnEnter`` on a node's mutex, ``SpyIndex`` on the
+bottom-node index (an action before or after its k-th probe),
+``ActOnFirstRead`` in a node's ``parent`` (an action before a climbing
+query reads that parent), or a wrapped helper method; ``SpyGuard`` logs the
+root guard's acquires and write queueing.  A race asserts that its pause
+fired, so one whose pause never fires fails.
+
+``test_acceptance::test_scripted_races`` runs five of these 1000 times each
+under their old scenario names: ``insert-vs-trim``, ``insert-vs-grow-drop``,
+``insert-vs-unlink``, ``grow-vs-delete-residue`` and
+``two-inserters-one-parent``.  Those take no fixtures."""
 
 import random
 import sys
@@ -14,9 +20,8 @@ import pytest
 
 from dcveb.bitops import child_mask
 from dcveb.core import DcvebArray, Entry, Node
-from dcveb.scenarios import RunOnEnter
 from dcveb.walker import quiescent_walk, structure_fingerprint
-from doubles import ActOnFirstRead, SpyGuard, SpyIndex, record_calls
+from doubles import ActOnFirstRead, RunOnEnter, SpyGuard, SpyIndex, record_calls
 
 
 def test_path_shape_of_each_operation():
@@ -93,7 +98,7 @@ def test_scan_skip_returns_key_never_least():
     assert result in (Entry(15, 15), Entry(2, 2))
 
 
-def test_restart_sees_growth_made_inside_it():
+def test_climb_sees_growth_made_inside_it():
     # successor(1) finds the lone height-1 root through the index.  Right
     # after that probe, insert(20) grows the tree to height 3, stacking two
     # levels on the root.  The root has nothing past slot 1, so the call
@@ -169,11 +174,11 @@ def test_stale_trail_delete_aborts_without_touching_rebuild():
 
     array = DcvebArray(branching=64)
     array.insert(130, "old")
-    stale = array._params().root.children[2]
+    stale = array._ap.root.children[2]
     unlinks = record_calls(array, "_unlink_path")
     SpyIndex.install(array).arm(rebuild, after=True)
     array.delete(130)
-    assert array._params().root.children[2] is not stale
+    assert array._ap.root.children[2] is not stale
     # the inner delete cleared; the outer one stopped at the node's mutex
     assert len(unlinks) == 1
     assert array.get(130) == Entry(130, "new")
@@ -189,7 +194,7 @@ def test_stale_trail_delete_after_overwrite_removes_key():
     seen = []
 
     def overwrite():
-        parent = array._params().root.children[2]
+        parent = array._ap.root.children[2]
         seen.append(parent.children[2])
         array.insert(130, "new")
         assert parent.children[2] != seen[0]
@@ -203,12 +208,12 @@ def test_stale_trail_delete_after_overwrite_removes_key():
     assert quiescent_walk(array).ok()
 
 
-def _start_grower(array, growers, key=5):
+def _start_grower(array, growers, key=5, seconds=10):
     """Start insert(key), which must grow the fanout-4 tree, in a daemon
-    thread and give it 0.2 s to finish."""
+    thread and give it ``seconds`` to finish."""
     grower = threading.Thread(target=array.insert, args=(key, key), daemon=True)
     grower.start()
-    grower.join(0.2)
+    grower.join(seconds)
     growers.append(grower)
 
 
@@ -219,7 +224,7 @@ def test_insert_survives_growth_cleanup_of_its_root():
     # it and retires it.  The parked insert's re-check finds the root
     # retired, so it descends into the new tree: no insert is lost.
     array = DcvebArray(branching=4, key_bits=4)
-    original_root = array._params().root
+    original_root = array._ap.root
     growers = []
     parked = []
 
@@ -231,7 +236,7 @@ def test_insert_survives_growth_cleanup_of_its_root():
     array.insert(1, 1)
     assert parked == [False], "growth waited for the parked insert"
     assert original_root.retired and original_root.children[1] is None
-    params = array._params()
+    params = array._ap
     assert params.height == 2 and params.root is not original_root
     assert array._bottoms[0] is params.root.children[0]
     for key in (1, 5):
@@ -252,13 +257,13 @@ def test_growth_waits_for_a_descending_insert_and_adopts_its_root():
 
     def grow():
         assert guard.held_for_reading()
-        _start_grower(array, growers, 20)
+        _start_grower(array, growers, 20, seconds=0.2)
         waited.append(growers[0].is_alive())
 
     array = DcvebArray(branching=4, key_bits=6)
     array.insert(5, 5)
     array.delete(5)
-    original_root = array._params().root
+    original_root = array._ap.root
     assert original_root.value == 0 and array._bottoms == {}
     guard = SpyGuard.install(array)
     original_root._mutex = RunOnEnter(original_root._mutex, grow)
@@ -266,11 +271,49 @@ def test_growth_waits_for_a_descending_insert_and_adopts_its_root():
     assert waited == [True], "growth published inside the descent"
     growers[0].join(10)
     assert not growers[0].is_alive()
-    params = array._params()
+    params = array._ap
     assert params.height == 3 and params.root.children[0] is original_root
     assert not original_root.retired
     assert array.get(1) == Entry(1, 1)
     assert array.get(20) == Entry(20, 20)
+    assert quiescent_walk(array).ok()
+
+
+def test_trim_waits_for_a_descending_insert_and_keeps_its_root():
+    # The height-2 root holds children 0 and 1 and prefix 2 is not indexed,
+    # so insert(130) descends.  It pauses as the descent enters the root's
+    # mutex to install root child 2, holding the root guard's read lock.
+    # The pause starts delete(70) in a thread: it empties child 1, unlinks
+    # it, and tries to trim the root, whose only occupant is now child 0.
+    # Once the trim's write acquire is queued on the guard, the insert
+    # resumes.  The descent installs child 2 before it releases the guard,
+    # so the trim's re-check under the root's mutex sees that child's bit
+    # and keeps the root.
+    array = DcvebArray(branching=64)
+    array.insert(3, "keep")
+    array.insert(70, "evict")  # height 2; root children {0, 1}
+    root = array._ap.root
+    guard = SpyGuard.install(array)
+    deleters = []
+    queued = []
+
+    def evict():
+        assert guard.held_for_reading()
+        deleter = threading.Thread(target=array.delete, args=(70,), daemon=True)
+        deleter.start()
+        deleters.append(deleter)
+        queued.append(guard.write_queued.wait(5))
+
+    root._mutex = RunOnEnter(root._mutex, evict)
+    array.insert(130, "landed")
+    assert len(queued) == 1, "the descent never paused on the root's mutex"
+    assert queued == [True], "the trim never queued behind the descent"
+    deleters[0].join(10)
+    assert not deleters[0].is_alive()
+    assert array._ap.height == 2 and array._ap.root is root
+    assert not root.retired
+    assert array.get(130) == Entry(130, "landed")
+    assert array.get(70) is None
     assert quiescent_walk(array).ok()
 
 
@@ -284,7 +327,7 @@ def test_delete_lands_on_reused_parent_node():
     array = DcvebArray(branching=64)
     array.insert(130, "old")
     array.insert(131, "sibling")
-    parent_before = array._params().root.children[2]
+    parent_before = array._ap.root.children[2]
     _pause_before_probe(array, in_window, resume)
 
     def stale_deleter():
@@ -304,7 +347,7 @@ def test_delete_lands_on_reused_parent_node():
         t.join(10)
     assert not any(t.is_alive() for t in threads)
     assert in_window.is_set(), "the delete never paused at its probe"
-    assert array._params().root.children[2] is parent_before
+    assert array._ap.root.children[2] is parent_before
     assert array.get(130) is None
     assert array.get(131) == Entry(131, "sibling")
     assert quiescent_walk(array).ok()
@@ -313,7 +356,7 @@ def test_delete_lands_on_reused_parent_node():
 def test_walker_flags_summary_high_bits():
     array = DcvebArray(branching=8, key_bits=16)
     array.insert(3, "x")
-    root = array._params().root
+    root = array._ap.root
     root.value |= 1 << 60
     report = quiescent_walk(array)
     assert any(v[1] == "summary-high-bits" for v in report.violations)
@@ -333,7 +376,7 @@ def test_raising_hook_leaks_no_lock(point, assert_no_lock_held):
     array.insert(3, "keep")
     array.insert(70, "drop")  # height 2; root children {0, 1}
     guard = SpyGuard.install(array)
-    root = array._params().root
+    root = array._ap.root
     fired = []
 
     def writing():
@@ -456,50 +499,34 @@ def test_climb_passes_a_neighbour_unlinked_during_it(query):
 
 
 def test_insert_restarts_when_its_bottom_node_is_unlinked():
-    # insert(131) finds the node holding 130 through the index and, before
-    # it takes that node's mutex, delete(130) empties the node, unlinks it
-    # and retires it.  The insert finds the node retired under its mutex and
-    # falls back to the descent from the root, which installs a fresh node
-    # for the entry.
-    array = DcvebArray(branching=64)
-    array.insert(130, "evict")
-    stale = array._params().root.children[2]
-    stale._mutex = RunOnEnter(stale._mutex, lambda: array.delete(130))
-    array.insert(131, "landed")
-    assert stale.retired
-    assert stale.children[3] is None
-    fresh = array._params().root.children[2]
-    assert fresh is not stale and not fresh.retired
-    assert array.get(131) == Entry(131, "landed")
-    assert array.get(130) is None
-    assert quiescent_walk(array).ok()
-
-
-def test_index_hit_insert_falls_back_when_its_node_is_unlinked():
     # insert(131) finds the node holding only 130 through the index and
     # parks on entering its mutex, after one probe and holding no guard.
     # delete(130) runs to completion in the pause: it empties, unlinks,
     # retires and de-indexes that node.  The insert's re-check under the
     # mutex fails, so it takes the guarded descent, which installs and
-    # indexes a fresh node.
+    # indexes a fresh node; the stale node never receives the entry.
     array = DcvebArray(branching=64)
     array.insert(130, "evict")
     stale = array._bottoms[2]
     index = SpyIndex.install(array)
     guard = SpyGuard.install(array)
     unlinks = record_calls(array, "_unlink_path")
+    fired = []
 
     def unlink():
         assert (index.probes, guard.acquires) == (1, [])
         assert guard._active_readers == 0
         array.delete(130)
         assert stale.retired and 2 not in array._bottoms
+        fired.append(True)
 
     stale._mutex = RunOnEnter(stale._mutex, unlink)
     array.insert(131, "landed")
+    assert fired == [True], "the insert never paused on its node's mutex"
     # the delete's one unlink pass takes no guard; the descent takes it
     assert (len(unlinks), guard.acquires) == (1, ["read"])
-    fresh = array._params().root.children[2]
+    assert stale.children[3] is None
+    fresh = array._ap.root.children[2]
     assert fresh is not stale and not fresh.retired
     assert array._bottoms[2] is fresh
     assert array.get(131) == Entry(131, "landed")
@@ -536,10 +563,37 @@ def test_descent_restarts_when_its_bottom_node_is_unlinked():
     assert seen == [fresh, None]
     assert stale.retired and fresh.retired and fresh is not stale
     assert fresh.children[3] is None
-    third = array._params().root.children[2]
+    third = array._ap.root.children[2]
     assert third not in (stale, fresh) and array._bottoms[2] is third
     assert array.get(131) == Entry(131, "landed")
     assert array.get(130) is None
+    assert quiescent_walk(array).ok()
+
+
+def test_racing_descents_share_the_node_installed_first():
+    # Prefix 2 of the height-2 tree is not indexed, so insert(130) descends.
+    # It pauses as the descent enters the root's mutex for ``cas_child(2)``,
+    # and in the pause insert(131) descends the same way and installs root
+    # child 2 first.  The resumed ``cas_child`` finds the slot filled and
+    # must hand back the node already there, so both entries land in one
+    # node and neither is lost.
+    array = DcvebArray(branching=64)
+    array.insert(70, 70)  # height 2; root child 1
+    root = array._ap.root
+    fired = []
+
+    def race():
+        array.insert(131, "b")
+        fired.append(root.children[2])
+
+    root._mutex = RunOnEnter(root._mutex, race)
+    array.insert(130, "a")
+    assert len(fired) == 1, "the descent never paused on the root's mutex"
+    shared = fired[0]
+    assert root.children[2] is shared and array._bottoms[2] is shared
+    assert shared.value == child_mask(2, 64) | child_mask(3, 64)
+    assert array.get(130) == Entry(130, "a")
+    assert array.get(131) == Entry(131, "b")
     assert quiescent_walk(array).ok()
 
 
@@ -551,7 +605,7 @@ def test_index_hit_insert_lands_in_a_root_that_a_growth_adopts():
     # parked insert's re-check passes and its entry lands there.
     array = DcvebArray(branching=4, key_bits=4)
     array.insert(1, 1)
-    root = array._params().root
+    root = array._ap.root
     growers = []
     parked = []
 
@@ -562,7 +616,7 @@ def test_index_hit_insert_lands_in_a_root_that_a_growth_adopts():
     root._mutex = RunOnEnter(root._mutex, grow)
     array.insert(2, 2)
     assert parked == [False], "growth waited for the parked insert"
-    params = array._params()
+    params = array._ap
     assert params.height == 2 and params.root.children[0] is root
     assert not root.retired and array._bottoms[0] is root
     for key in (1, 2, 5):
@@ -579,12 +633,12 @@ def test_index_hit_insert_restarts_when_a_growth_drops_its_root():
     # instead of storing into the dropped root.
     array = DcvebArray(branching=4, key_bits=4)
     array.insert(1, 1)
-    root = array._params().root
+    root = array._ap.root
 
     def empty_and_grow():
         array.delete(1)
         array.insert(5, 5)
-        assert array._params().root is not root
+        assert array._ap.root is not root
 
     root._mutex = RunOnEnter(root._mutex, empty_and_grow)
     array.insert(2, 2)
@@ -610,12 +664,12 @@ def test_delete_that_keeps_its_node_non_empty_touches_only_its_slot():
     guard = SpyGuard.install(array)
     unlinks = record_calls(array, "_unlink_path")
     trims = record_calls(array, "_trim_top")
-    params = array._params()
+    params = array._ap
     bottoms = dict(array._bottoms)
     before = structure_fingerprint(array)
     array.delete(130)
     assert (index.probes, guard.acquires, unlinks, trims) == (1, [], [], [])
-    assert array._params() is params and array._bottoms == bottoms
+    assert array._ap is params and array._bottoms == bottoms
     after = structure_fingerprint(array)
     assert after == structure_fingerprint(expected)
     array.insert(130, 130)  # through the index: writes only that slot back
@@ -642,15 +696,15 @@ def test_insert_indexes_its_bottom_node_before_the_bit_and_entry_stores():
     index = SpyIndex.install(array)
     seen = index.stores
     guard = SpyGuard.install(array)
-    root = array._params().root
+    root = array._ap.root
     array.insert(5, "a")  # the fresh, empty root: through the index
     assert seen == [(0, True, False, 0, [None] * 64)]
     assert (guard.acquires, index.probes) == ([], 1)
     array.insert(130, "b")  # height 2; the root holding 5 is adopted
-    assert array._params().root.children[0] is root
+    assert array._ap.root.children[0] is root
     seen.clear()
     array.insert(200, "c")  # prefix 3: a fresh bottom node, by the descent
-    node = array._params().root.children[3]
+    node = array._ap.root.children[3]
     assert seen == [(3, True, False, 0, [None] * 64)]
     assert array._bottoms[3] is node
     assert array.get(200) == Entry(200, "c")
@@ -687,12 +741,12 @@ def test_insert_into_an_emptied_node_keeps_it_linked():
     node = array._bottoms[2]
     index = SpyIndex.install(array)
     guard = SpyGuard.install(array)
-    root = array._params().root
+    root = array._ap.root
     root._mutex = RunOnEnter(root._mutex, refill)
     array.delete(130)
     assert fired == [True]
     assert guard.acquires == []
-    assert array._params().root.children[2] is node and not node.retired
+    assert array._ap.root.children[2] is node and not node.retired
     assert array._bottoms[2] is node
     assert array.get(131) == Entry(131, "landed")
     assert array.get(130) is None
@@ -708,7 +762,7 @@ def test_restarted_insert_leaves_the_fresh_node_indexed():
     # index must still hold the fresh node, so get(132) finds 132.
     array = DcvebArray(branching=64)
     array.insert(130, "evict")
-    stale = array._params().root.children[2]
+    stale = array._ap.root.children[2]
     seen = {}
 
     def probe():
@@ -718,12 +772,12 @@ def test_restarted_insert_leaves_the_fresh_node_indexed():
     def unlink_and_refill():
         array.delete(130)
         array.insert(132, "first")
-        fresh = array._params().root.children[2]
+        fresh = array._ap.root.children[2]
         fresh._mutex = RunOnEnter(fresh._mutex, probe)
 
     stale._mutex = RunOnEnter(stale._mutex, unlink_and_refill)
     array.insert(131, "landed")
-    fresh = array._params().root.children[2]
+    fresh = array._ap.root.children[2]
     assert fresh is not stale and stale.retired
     assert seen == {"indexed": fresh, "get": Entry(132, "first")}
     assert array._bottoms[2] is fresh
@@ -739,7 +793,7 @@ def test_delete_of_a_retired_bottom_node_removes_nothing_else():
     seen = {}
 
     def rebuild():
-        seen["stale"] = array._params().root.children[2]
+        seen["stale"] = array._ap.root.children[2]
         array.delete(130)
         array.insert(130, "new")
         seen["after"] = structure_fingerprint(array)
@@ -770,19 +824,19 @@ def test_delete_walk_stops_at_a_trimmed_root():
     def evict():
         fired.append(True)
         array.delete(70)
-        assert array._params().root is bottom
+        assert array._ap.root is bottom
 
     array = DcvebArray(branching=64)
     array.insert(3, "drop")
     array.insert(70, "evict")
-    old_root = array._params().root
+    old_root = array._ap.root
     bottom = old_root.children[0]
     old_root._mutex = RunOnEnter(old_root._mutex, evict)
     array.delete(3)
     assert fired == [True]
     assert old_root.retired
     assert old_root.children[0] is bottom and bottom.parent is None
-    assert array._params().root is bottom and not bottom.retired
+    assert array._ap.root is bottom and not bottom.retired
     writer = threading.Thread(target=array.insert, args=(5, "new"), daemon=True)
     writer.start()
     writer.join(10)
@@ -804,19 +858,18 @@ def test_delete_climb_crosses_a_level_stacked_under_it():
 
     def grow():
         _start_grower(array, growers, 20)
-        growers[0].join(10)
-        stacked.append(array._params().root)
+        stacked.append(array._ap.root)
 
     array = DcvebArray(branching=4, key_bits=6)
     array.insert(5, 5)  # height 2; R holds only child 1
-    old_root = array._params().root
+    old_root = array._ap.root
     bottom = array._bottoms[1]
     guard = SpyGuard.install(array)
     old_root._mutex = RunOnEnter(old_root._mutex, grow)
     array.delete(5)
     assert not growers[0].is_alive(), "growth waited for the parked climb"
     top = stacked[0]
-    assert top is array._params().root and top.children[1] is not None
+    assert top is array._ap.root and top.children[1] is not None
     assert old_root.parent is top and bottom.parent is old_root
     assert old_root.retired and bottom.retired
     assert top.children[0] is None and top.value == child_mask(1, 4)
@@ -910,7 +963,7 @@ def test_filled_slot_never_has_a_clear_bit_under_churn():
                 bad.append(("unlocked", p, word))
 
     def sweep(check):
-        pending = [array._params().root]
+        pending = [array._ap.root]
         while pending:
             node = pending.pop()
             check(node)

@@ -49,7 +49,7 @@ def test_detects_injected_bit_over_empty_child():
     array = DcvebArray()
     array.insert(130, "C")
     # corrupt: claim child 9 of the root is occupied
-    root = array._params().root
+    root = array._ap.root
     root.value |= child_mask(9, 64)
     report = quiescent_walk(array)
     assert [v[1] for v in report.violations] == ["bit-set-child-missing"]
@@ -58,7 +58,7 @@ def test_detects_injected_bit_over_empty_child():
 def test_detects_hidden_live_entry():
     array = DcvebArray()
     array.insert(130, "C")
-    root = array._params().root
+    root = array._ap.root
     root.value = 0  # hide the live subtree
     report = quiescent_walk(array)
     names = {v[1] for v in report.violations}
@@ -69,7 +69,7 @@ def test_detects_hidden_live_entry():
 def test_detects_entry_key_mismatch():
     array = DcvebArray()
     array.insert(5, "A")
-    array._params().root.children[5] = Entry(6, "A")  # key is not its path key
+    array._ap.root.children[5] = Entry(6, "A")  # key is not its path key
     report = quiescent_walk(array)
     assert ("/5", "entry-key-mismatch", (6, 5)) in report.violations
 
@@ -80,7 +80,7 @@ def test_detects_node_in_bit_clear_slot():
     # an empty node left linked under a clear bit: deletes unlink these.  It
     # is a bottom-level node that no insert indexed, linked to its parent as
     # ``cas_child`` links every node it installs
-    root = array._params().root
+    root = array._ap.root
     stray = root.children[5] = Node(64, 0)
     stray.parent = root
     report = quiescent_walk(array)
@@ -91,7 +91,7 @@ def test_detects_node_in_bit_clear_slot():
 def test_detects_node_in_bottom_level_slot():
     array = DcvebArray()
     array.insert(5, "A")
-    array._params().root.children[5] = Node(64, 0)
+    array._ap.root.children[5] = Node(64, 0)
     report = quiescent_walk(array)
     assert ("/5", "slot-kind-mismatch", "Node") in report.violations
 
@@ -99,7 +99,7 @@ def test_detects_node_in_bottom_level_slot():
 def test_detects_entry_above_bottom_level():
     array = DcvebArray()
     array.insert(130, "C")
-    array._params().root.children[2] = Entry(2, "C")
+    array._ap.root.children[2] = Entry(2, "C")
     report = quiescent_walk(array)
     assert ("/2", "slot-kind-mismatch", "Entry") in report.violations
 
@@ -141,7 +141,7 @@ def test_queries_leave_structure_untouched():
 def test_detects_top_shift_mismatch():
     array = DcvebArray(branching=4, key_bits=8)
     array.insert(20, "x")  # height 3: the root digit sits at shift 4
-    params = array._params()
+    params = array._ap
     assert params.top == 4
     array._ap = TreeParams(params.size, params.height, params.root, 2)
     report = quiescent_walk(array)
@@ -153,7 +153,7 @@ def test_detects_top_shift_mismatch():
 def test_detects_reachable_retired_node():
     array = DcvebArray()
     array.insert(130, "C")
-    array._params().root.children[2].retired = True
+    array._ap.root.children[2].retired = True
     report = quiescent_walk(array)
     assert report.violations == [("/2", "retired-reachable", 1)]
 
@@ -161,7 +161,7 @@ def test_detects_reachable_retired_node():
 def test_detects_held_node_mutex():
     array = DcvebArray()
     array.insert(130, "C")
-    root = array._params().root
+    root = array._ap.root
     with root._mutex:
         report = quiescent_walk(array)
     assert report.violations == [("", "mutex-held", 0)]
@@ -172,7 +172,7 @@ def test_detects_stale_bottom_index_item():
     array = DcvebArray()
     array.insert(130, "C")
     array.insert(200, "D")
-    stale = array._params().root.children[3]
+    stale = array._ap.root.children[3]
     array.delete(200)  # unlinks the bottom node of prefix 3
     assert quiescent_walk(array).ok()
     array._bottoms[3] = stale
@@ -198,7 +198,7 @@ def test_detects_missing_bottom_index_item():
 def test_detects_parent_link_mismatch():
     array = DcvebArray(branching=4, key_bits=8)
     array.insert(20, "x")  # height 3: root -> /1 -> /1/1 -> entry 20
-    root = array._params().root
+    root = array._ap.root
     middle = root.children[1]
     bottom = middle.children[1]
     assert bottom.parent is middle and middle.parent is root
