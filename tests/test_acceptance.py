@@ -210,31 +210,14 @@ def test_memory_bound():
     )
 
 
-_SCRIPTED_RACES = {
-    "insert-vs-trim": races.test_trim_waits_for_a_descending_insert_and_keeps_its_root,
-    "insert-vs-grow-drop": races.test_insert_survives_growth_cleanup_of_its_root,
-    "insert-vs-unlink": races.test_insert_restarts_when_its_bottom_node_is_unlinked,
-    "grow-vs-delete-residue": races.test_delete_climb_crosses_a_level_stacked_under_it,
-    "two-inserters-one-parent": races.test_racing_descents_share_the_node_installed_first,
-}
-
-
 def test_scripted_races():
     # Each race stops at its first failing iteration, whose message is the
     # reproduction; a race whose pause never fires fails at once.
     started = time.perf_counter()
     details = []
     ok = True
-    for name, race in _SCRIPTED_RACES.items():
-        runs = 0
-        failure = ""
-        while runs < 1000 and not failure:
-            runs += 1
-            try:
-                race()
-            except Exception as exc:  # noqa: BLE001 - reported in the verdict
-                failure = "%s: %s" % (type(exc).__name__,
-                                      " ".join(str(exc).split())[:300])
+    for name, race in races.SCRIPTED_RACES.items():
+        runs, failure = races.run_race(race, 1000)
         ok = ok and not failure
         details.append("%s runs=%d%s" % (name, runs,
                                         " first_failure=" + failure if failure else ""))

@@ -77,13 +77,6 @@ def test_invalid_configs_rejected():
         WorkloadConfig(getters=1, repeats=0).validate()
     with pytest.raises(ValueError):
         WorkloadConfig(getters=1, seconds_cap=0).validate()
-    # run_workload validates before any thread touches the caller's array
-    array = DcvebArray()
-    with pytest.raises(ValueError):
-        run_workload(WorkloadConfig(ops=10), array)
-    with pytest.raises(ValueError):
-        run_workload(WorkloadConfig(inserters=1, ops=10, key_range=0), array)
-    assert array.minimum() is None
 
 
 @pytest.mark.parametrize("structure", ["dcveb", "locked-oracle"])

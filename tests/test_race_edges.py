@@ -7,10 +7,12 @@ query reads that parent), or a wrapped helper method; ``SpyGuard`` logs the
 root guard's acquires and write queueing.  A race asserts that its pause
 fired, so one whose pause never fires fails.
 
-``test_acceptance::test_scripted_races`` runs five of these 1000 times each
-under their old scenario names: ``insert-vs-trim``, ``insert-vs-grow-drop``,
-``insert-vs-unlink``, ``grow-vs-delete-residue`` and
-``two-inserters-one-parent``.  Those take no fixtures."""
+``SCRIPTED_RACES`` names five of these by their old scenario names:
+``insert-vs-trim``, ``insert-vs-grow-drop``, ``insert-vs-unlink``,
+``grow-vs-delete-residue`` and ``two-inserters-one-parent``.  Those take no
+fixtures.  ``run_race`` repeats one until its first failure;
+``test_acceptance::test_scripted_races`` runs each 1000 times with it, and
+``test_scenarios`` 25 times."""
 
 import random
 import sys
@@ -498,13 +500,11 @@ def test_climb_passes_a_neighbour_unlinked_during_it(query):
     assert quiescent_walk(array).ok()
 
 
-def test_insert_restarts_when_its_bottom_node_is_unlinked():
+def _insert_while_its_indexed_node_is_unlinked():
     # insert(131) finds the node holding only 130 through the index and
     # parks on entering its mutex, after one probe and holding no guard.
     # delete(130) runs to completion in the pause: it empties, unlinks,
-    # retires and de-indexes that node.  The insert's re-check under the
-    # mutex fails, so it takes the guarded descent, which installs and
-    # indexes a fresh node; the stale node never receives the entry.
+    # retires and de-indexes that node.
     array = DcvebArray(branching=64)
     array.insert(130, "evict")
     stale = array._bottoms[2]
@@ -523,14 +523,29 @@ def test_insert_restarts_when_its_bottom_node_is_unlinked():
     stale._mutex = RunOnEnter(stale._mutex, unlink)
     array.insert(131, "landed")
     assert fired == [True], "the insert never paused on its node's mutex"
-    # the delete's one unlink pass takes no guard; the descent takes it
-    assert (len(unlinks), guard.acquires) == (1, ["read"])
+    return array, stale, guard, unlinks
+
+
+def test_insert_restarts_when_its_bottom_node_is_unlinked():
+    # The insert's re-check under the mutex fails, so the entry lands in a
+    # fresh node; the stale node never receives it.
+    array, stale, _, _ = _insert_while_its_indexed_node_is_unlinked()
     assert stale.children[3] is None
     fresh = array._ap.root.children[2]
     assert fresh is not stale and not fresh.retired
-    assert array._bottoms[2] is fresh
     assert array.get(131) == Entry(131, "landed")
     assert array.get(130) is None
+    assert quiescent_walk(array).ok()
+
+
+def test_index_hit_insert_falls_back_when_its_node_is_unlinked():
+    # The same race, seen by its path: the fallback is the guarded descent,
+    # which installs and indexes the fresh node; the delete's one unlink
+    # pass takes no guard.
+    array, stale, guard, unlinks = _insert_while_its_indexed_node_is_unlinked()
+    assert (len(unlinks), guard.acquires) == (1, ["read"])
+    fresh = array._ap.root.children[2]
+    assert fresh is not stale and array._bottoms[2] is fresh
     assert quiescent_walk(array).ok()
 
 
@@ -1003,3 +1018,28 @@ def test_filled_slot_never_has_a_clear_bit_under_churn():
     assert grown and trimmed
     assert crossed
     assert quiescent_walk(array).ok()
+
+
+SCRIPTED_RACES = {
+    "insert-vs-trim": test_trim_waits_for_a_descending_insert_and_keeps_its_root,
+    "insert-vs-grow-drop": test_insert_survives_growth_cleanup_of_its_root,
+    "insert-vs-unlink": test_insert_restarts_when_its_bottom_node_is_unlinked,
+    "grow-vs-delete-residue": test_delete_climb_crosses_a_level_stacked_under_it,
+    "two-inserters-one-parent": test_racing_descents_share_the_node_installed_first,
+}
+
+
+def run_race(race, iterations):
+    """Run ``race`` up to ``iterations`` times, stopping at its first
+    failure, and return ``(runs, failure)``: the failing run's exception
+    type and message (whitespace collapsed, first 300 characters), or ""."""
+    runs = 0
+    failure = ""
+    while runs < iterations and not failure:
+        runs += 1
+        try:
+            race()
+        except Exception as exc:  # noqa: BLE001 - returned as the failure
+            failure = "%s: %s" % (type(exc).__name__,
+                                  " ".join(str(exc).split())[:300])
+    return runs, failure
