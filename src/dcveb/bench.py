@@ -158,7 +158,6 @@ class ThreadTiming:
 
 @dataclass
 class RunResult:
-    structure: str
     config: WorkloadConfig
     timings: list[ThreadTiming] = field(default_factory=list)
     # one per repeat: seconds from the first worker's start to the last join
@@ -196,7 +195,7 @@ def run_workload(config: WorkloadConfig, structure=None) -> RunResult:
     named by ``config.structure``.  Failures follow ``join_workers``.
     """
     config.validate()
-    result = RunResult(config.structure, config)
+    result = RunResult(config)
     plan = [(group, i)
             for group, count in zip(_GROUPS, (config.getters, config.inserters,
                                               config.removers, config.successors))
@@ -243,7 +242,17 @@ def successor_liveness_run(total_queries: int = 100_000, query_threads: int = 4,
     query at or below it has a qualifying entry present for the whole call
     and must not come back empty.  Returns the number of empty results; a
     worker exception is re-raised as ``RuntimeError`` (``join_workers``).
+    A run in which a querier would make no query raises ``ValueError``
+    before any thread starts, as ``WorkloadConfig.validate`` does.
     """
+    if query_threads < 1:
+        raise ValueError("query_threads must be >= 1")
+    if total_queries < query_threads:
+        raise ValueError("total_queries must be >= query_threads")
+    if churn_threads < 0:
+        raise ValueError("churn_threads must be >= 0")
+    if key_span < 2:
+        raise ValueError("key_span must be >= 2")
     array = DcvebArray(branching=branching)
     sentinel = key_span - 1
     array.insert(sentinel, "pinned")
@@ -301,7 +310,7 @@ def emit_csv(results: list[RunResult], path) -> None:
                 for t in ordered:
                     fh.write(
                         "%s,%d,%d,%d,%d,%d,%d,%d,%d,%s,%d,%.3f\n"
-                        % (result.structure, cfg.getters, cfg.inserters,
+                        % (cfg.structure, cfg.getters, cfg.inserters,
                            cfg.removers, cfg.successors, cfg.ops, cfg.key_range,
                            cfg.seed, t.repeat, t.group, t.index, t.millis)
                     )

@@ -1,4 +1,4 @@
-"""Bit-vector arithmetic for occupancy summaries, and tree-shape arithmetic.
+"""Bit-vector arithmetic for occupancy summaries.
 
 A node with branching factor ``n`` (a power of two, at most the machine word
 width) keeps an ``n``-bit occupancy word.  Child position ``p`` in ``[0, n)``
@@ -115,26 +115,3 @@ def atomic_set_child(cell: AtomicWord, p: int, n: int) -> bool:
             return False
         if cell.compare_and_set(s, s | mask):
             return True
-
-
-def required_height(key: int, n: int) -> int:
-    """Smallest height h >= 1 whose capacity n**h strictly exceeds ``key``.
-
-    Defined by the strict inequality rather than ceil(log_n key), which is
-    wrong at exact powers of n and undefined at key in {0, 1}.
-    """
-    if key < 0:
-        raise ValueError("key must be non-negative")
-    h = 1
-    cap = n
-    while cap <= key:
-        cap *= n
-        h += 1
-    return h
-
-
-def capacity(height: int, n: int) -> int:
-    """Key capacity of a tree of the given height: n**height."""
-    if height < 1:
-        raise ValueError("height must be >= 1")
-    return n**height

@@ -37,7 +37,8 @@ Concurrency contract:
   pass unlinks it, when a growth drops an empty old root, and when a trim
   pops the old root.  So a node found unretired under its mutex is
   reachable from the root published at that moment.
-* The published parameters (size, height, root) change only under the
+* The published parameters (the root and ``top``, the root level's digit
+  shift, from which the height and capacity follow) change only under the
   root guard's write lock plus the old root's mutex: a growth and a trim
   are the only publishers, and each stores the new parameters plainly.
 * ``insert`` ends in one store under its bottom node's mutex: the node
@@ -87,10 +88,8 @@ from .bitops import (
     atomic_set_child,  # noqa: F401
     max_child_below,  # noqa: F401
     min_child_above,  # noqa: F401
-    capacity,
     check_branching,
     child_mask,
-    required_height,
 )
 from .rwlock import FairRWLock
 
@@ -164,13 +163,12 @@ class Node:
 
 class TreeParams:
     """Published tree shape: read-only once stored in ``DcvebArray._ap``.
-    ``top`` is the root level's digit shift, ``shift * (height - 1)``."""
+    ``top`` is the root level's digit shift, a multiple of ``shift``; the
+    tree holds the keys with ``key >> top <= mask``."""
 
-    __slots__ = ("size", "height", "root", "top")
+    __slots__ = ("root", "top")
 
-    def __init__(self, size: int, height: int, root: Optional[Node], top: int):
-        self.size = size
-        self.height = height
+    def __init__(self, root: Node, top: int):
         self.root = root
         self.top = top
 
@@ -195,7 +193,7 @@ class DcvebArray:
         # prefix -> bottom-level node; written as the module docstring says
         self._bottoms = {0: root}
         # stored only under the guard's write lock; read plainly
-        self._ap = TreeParams(branching, 1, root, 0)
+        self._ap = TreeParams(root, 0)
 
     # -- introspection ---------------------------------------------------
 
@@ -204,8 +202,9 @@ class DcvebArray:
         return self._n
 
     def capacity_snapshot(self) -> Capacity:
-        params = self._ap
-        return Capacity(params.size, params.height)
+        """The published shape: ``n ** height`` keys over ``height`` levels."""
+        top = self._ap.top
+        return Capacity(self._n << top, top // self._shift + 1)
 
     def _check_key(self, key) -> None:
         if (not isinstance(key, int) or isinstance(key, bool)
@@ -263,11 +262,11 @@ class DcvebArray:
         at = key  # ``key >> s``: ``node``'s prefix, its digit included
         if node is None:
             params = self._ap
-            if key >= params.size:
-                return None
-            node = params.root
             s = params.top
             at = key >> s
+            if at > mask:  # past the capacity
+                return None
+            node = params.root
         while True:
             digit = at & mask
             child = node.children[digit]
@@ -303,10 +302,10 @@ class DcvebArray:
         """Entry with the largest key' <= key, or None.
 
         Mirror of successor: an index miss clamps ``key`` to the published
-        size once, the word scan moves ``key`` to the last key of the
-        nearest filled slot before the digit, and a node with nothing before
-        the digit moves ``key`` to one below its range and climbs while the
-        digit wraps to the last slot.  A ``key`` below 0 wraps at every
+        capacity's last key once, the word scan moves ``key`` to the last key
+        of the nearest filled slot before the digit, and a node with nothing
+        before the digit moves ``key`` to one below its range and climbs
+        while the digit wraps to the last slot.  A ``key`` below 0 wraps at every
         level, so the climb ends past the root and answers None.
         """
         if type(key) is not int or key < 0 or key >= self._key_limit:
@@ -319,11 +318,12 @@ class DcvebArray:
         at = key  # ``key >> s``
         if node is None:
             params = self._ap
-            if key >= params.size:
-                key = params.size - 1
-            node = params.root
             s = params.top
             at = key >> s
+            if at > mask:  # past the capacity: clamp to its last key
+                key = (n << s) - 1
+                at = mask
+            node = params.root
         while True:
             digit = at & mask
             child = node.children[digit]
@@ -419,7 +419,7 @@ class DcvebArray:
             ap_lock.acquire_read()
             try:
                 params = self._ap
-                if key < params.size:
+                if key >> params.top <= mask:
                     while True:  # one pass per descent from the root
                         s = params.top
                         node = params.root
@@ -443,38 +443,38 @@ class DcvebArray:
 
         Runs under the root guard's write lock, so it waits only for inserts
         still descending, not for their stores, and the old root's mutex, so
-        no writer can change the root's word meanwhile.  A non-empty old
-        root becomes child 0 of a chain of new levels; the old tree is not
-        reorganized.  An empty old root is dropped (retired) for one fresh
-        empty root instead, so growth never leaves an all-zeros spine
-        behind; a dropped height-1 root also leaves ``_bottoms``, and an
-        insert whose store takes its mutex afterwards descends again.  An
+        no writer can change the root's word meanwhile.  It raises ``top``
+        one digit at a time until ``key`` fits.  A non-empty old root
+        becomes child 0 of a chain of new levels, one per digit; the old
+        tree is not reorganized.  An empty old root is dropped (retired) for
+        one fresh empty root instead, so growth never leaves an all-zeros
+        spine behind; a dropped height-1 root also leaves ``_bottoms``, and
+        an insert whose store takes its mutex afterwards descends again.  An
         adopted old root's ``parent`` is set under its mutex: a delete's
         climb that empties the old root either does so first, and this
         growth drops it, or after, and then reads the link to the new level.
         """
+        mask = self._mask
         ap_lock = self._ap_lock
         ap_lock.acquire_write()
         try:
             params = self._ap
-            if key < params.size:
+            top = params.top
+            if key >> top <= mask:
                 return  # another insert grew the tree first
             old = params.root
             with old._mutex:
                 n = self._n
-                height = required_height(key, n)
                 dropped = old.value == 0
-                if dropped:
-                    root = Node(n, 0)
-                else:
-                    root = old
-                    for _ in range(height - params.height):
-                        top = Node(n, child_mask(0, n))
-                        top.children[0] = root
-                        root.parent = top  # first ``old``, under its mutex
-                        root = top
-                self._ap = TreeParams(capacity(height, n), height, root,
-                                      self._shift * (height - 1))
+                root = Node(n, 0) if dropped else old
+                while key >> top > mask:
+                    top += self._shift
+                    if not dropped:
+                        level = Node(n, child_mask(0, n))
+                        level.children[0] = root
+                        root.parent = level  # first ``old``, under its mutex
+                        root = level
+                self._ap = TreeParams(root, top)
                 if dropped:
                     old.retired = True  # it leaves the tree with this store
                     if self._bottoms.get(0) is old:
@@ -581,7 +581,8 @@ class DcvebArray:
             s += shift
 
     def _trim_top(self) -> None:
-        """Pop root levels while the root's only occupant is child 0.
+        """Pop root levels while the root's only occupant is child 0, down
+        to ``top == 0``.
 
         One level per iteration; the publish is re-validated and performed
         under the root guard, which keeps every insert out, plus the old
@@ -590,16 +591,13 @@ class DcvebArray:
         at the retired root; one that reads it after stops at None, and no
         chain of popped roots stays reachable from the published root.
         """
-        n = self._n
-        only_zero = child_mask(0, n)
+        only_zero = child_mask(0, self._n)
         ap_lock = self._ap_lock
         while True:
             params = self._ap
-            if params.root.value != only_zero:
-                return
-            if params.height == 1:
-                return
             root = params.root
+            if root.value != only_zero or not params.top:
+                return
             ap_lock.acquire_write()
             try:
                 with root._mutex:
@@ -609,10 +607,7 @@ class DcvebArray:
                         # was read
                         child = root.children[0]
                         child.parent = None
-                        self._ap = TreeParams(
-                            capacity(params.height - 1, n), params.height - 1,
-                            child, params.top - self._shift,
-                        )
+                        self._ap = TreeParams(child, params.top - self._shift)
                         root.retired = True
             finally:
                 ap_lock.release_write()

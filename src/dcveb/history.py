@@ -208,9 +208,8 @@ def check_linearizable(events: list[Event]) -> CheckResult:
     witness: list = []
     if search(0, EMPTY_STATE, witness):
         return CheckResult(True, witness, None)
-    counterexample = [e for e in events if any(
-        op.op == e.op and op.thread == e.thread for op in best_prefix
-    )] or list(events)
+    ticks = {t for op in best_prefix for t in (op.invoked, op.responded)}
+    counterexample = [e for e in events if e.tick in ticks] or list(events)
     return CheckResult(False, None, counterexample)
 
 

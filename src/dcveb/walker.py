@@ -1,7 +1,8 @@
 """Quiescent structural verification.
 
-With no operations in flight, the published root shift must match the
-height, and a full recursive walk of the tree must find every occupancy bit
+With no operations in flight, the published root shift ``top`` must be a
+non-negative multiple of the digit width (the height and capacity follow
+from it), and a full recursive walk of the tree must find every occupancy bit
 telling the truth (set implies a non-empty child subtree, clear implies an
 empty slot: deletes unlink every node they empty), nodes in every slot above
 the bottom level and entries in every bottom-level slot, each entry's key
@@ -30,8 +31,6 @@ class WalkReport:
     element_count: int = 0
     internal_node_count: int = 0
     leaf_node_count: int = 0
-    height: int = 0
-    size: int = 0
     violations: list = field(default_factory=list)
 
     def ok(self) -> bool:
@@ -39,33 +38,32 @@ class WalkReport:
 
 
 def quiescent_walk(array) -> WalkReport:
-    """Verify all quiescent invariants of ``array``; callers own quiescence."""
+    """Verify all quiescent invariants of ``array``; callers own quiescence.
+    A ``top`` that is no level's shift ends the check at that violation."""
     params = array._ap
     n = array.branching
-    report = WalkReport(height=params.height, size=params.size)
-    if params.height < 1:
-        report.violations.append(("", "height-floor", params.height))
-    if params.size != n**params.height:
-        report.violations.append(("", "size-capacity-mismatch", params.size))
-    if params.top != array._shift * (params.height - 1):
+    report = WalkReport()
+    if params.top < 0 or params.top % array._shift:
         report.violations.append(("", "top-shift-mismatch", params.top))
+        return report
+    size, height = array.capacity_snapshot()
     if params.root.parent is not None:
         report.violations.append(("", "parent-link-mismatch", 0))
     entries: list = []
     bottoms: dict = {}
-    _walk(params.root, 0, params.height, n, 0, "", report, entries, bottoms)
+    _walk(params.root, 0, height, n, 0, "", report, entries, bottoms)
     indexed = array._bottoms
     for prefix in sorted(bottoms.keys() | indexed.keys()):
         if indexed.get(prefix) is not bottoms.get(prefix):
             report.violations.append(("", "bottom-index-mismatch", prefix))
-    bound = (n**params.height - 1) // (n - 1)
+    bound = (size - 1) // (n - 1)
     if report.internal_node_count > bound:
         report.violations.append(
             ("", "internal-node-bound", (report.internal_node_count, bound))
         )
     entries.sort(key=lambda e: e[0])
     try:
-        chained = _successor_chain(array, min(params.size, array._key_limit))
+        chained = _successor_chain(array, min(size, array._key_limit))
     except (AttributeError, TypeError) as exc:  # a slot of the wrong kind
         report.violations.append(("", "enumeration-failed", repr(exc)))
     else:
@@ -153,11 +151,7 @@ def structure_fingerprint(array) -> tuple:
     behavior is identical.
     """
     params = array._ap
-    return (
-        params.size,
-        params.height,
-        _fingerprint(params.root),
-    )
+    return (params.top, _fingerprint(params.root))
 
 
 def _fingerprint(slot):

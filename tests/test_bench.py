@@ -293,6 +293,19 @@ def test_successor_liveness_smoke():
     assert misses == 0
 
 
+@pytest.mark.parametrize("bad", [
+    {"query_threads": 0},
+    {"total_queries": 3, "query_threads": 4},
+    {"churn_threads": -1},
+    {"key_span": 1},
+])
+def test_successor_liveness_rejects_a_run_that_checks_nothing(bad):
+    args = {"total_queries": 20, "query_threads": 2, "churn_threads": 2,
+            "key_span": 64, **bad}
+    with pytest.raises(ValueError):
+        successor_liveness_run(**args)
+
+
 def test_successor_liveness_reraises_worker_error(monkeypatch):
     def crash(self, key):
         raise KeyError(key)

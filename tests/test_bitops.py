@@ -7,13 +7,12 @@ from hypothesis import strategies as st
 from dcveb.bitops import (
     AtomicWord,
     atomic_set_child,
-    capacity,
     check_branching,
     child_mask,
     max_child_below,
     min_child_above,
-    required_height,
 )
+from dcveb.core import DcvebArray
 
 
 def brute_min_above(bits, p, n):
@@ -126,21 +125,30 @@ class TestAtomicSetChild:
 
 
 class TestHeightAndCapacity:
+    """``capacity_snapshot``: ``n ** h`` keys over the fewest levels ``h``
+    that hold every inserted key."""
+
+    @staticmethod
+    def shape_for(key, n=64):
+        array = DcvebArray(branching=n, key_bits=63)
+        array.insert(key, key)
+        return array.capacity_snapshot()
+
     def test_max_int31(self):
-        assert required_height(2**31 - 1, 64) == 6
+        assert self.shape_for(2**31 - 1) == (64**6, 6)
 
     def test_max_int63(self):
-        assert required_height(2**63 - 1, 64) == 11
+        assert self.shape_for(2**63 - 1) == (64**11, 11)
 
     def test_zero(self):
-        assert required_height(0, 64) == 1
+        assert self.shape_for(0) == (64, 1)
 
     def test_exact_power_needs_next_level(self):
-        assert required_height(64, 64) == 2
+        assert self.shape_for(64) == (4096, 2)
 
     def test_capacity_values(self):
-        assert capacity(1, 64) == 64
-        assert capacity(2, 64) == 4096
+        assert DcvebArray().capacity_snapshot() == (64, 1)
+        assert self.shape_for(4095) == (4096, 2)
 
     @settings(max_examples=100)
     @given(
@@ -148,14 +156,32 @@ class TestHeightAndCapacity:
         k=st.integers(min_value=0, max_value=4),
     )
     def test_growth_multiplies_capacity(self, h, k):
-        assert capacity(h + k, 64) == capacity(h, 64) * 64**k
+        array = DcvebArray()
+        array.insert(64 ** (h - 1), "low")  # the smallest key of height h
+        assert array.capacity_snapshot() == (64**h, h)
+        array.insert(64 ** (h + k - 1), "high")
+        assert array.capacity_snapshot() == (64**h * 64**k, h + k)
 
-    @settings(max_examples=200)
-    @given(st.integers(min_value=0, max_value=2**40))
-    def test_height_is_tight(self, key):
-        h = required_height(key, 64)
-        assert capacity(h, 64) > key
-        assert h == 1 or capacity(h - 1, 64) <= key
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from([2, 4, 64]),
+        st.one_of(
+            st.integers(min_value=0, max_value=2**63 - 1),
+            st.integers(min_value=0, max_value=62).map(lambda b: 1 << b),
+            st.integers(min_value=1, max_value=63).map(lambda b: (1 << b) - 1),
+        ),
+    )
+    def test_height_is_tight(self, n, key):
+        # any key a 63-bit array accepts: the growth is tight, and with
+        # key 0 present the trim takes the tree back to one level
+        array = DcvebArray(branching=n, key_bits=63)
+        array.insert(0, 0)
+        array.insert(key, key)
+        size, h = array.capacity_snapshot()
+        assert size == n**h > key
+        assert h == 1 or n ** (h - 1) <= key
+        array.delete(key)
+        assert array.capacity_snapshot() == (n, 1)
 
 
 class TestBranchingValidation:

@@ -663,6 +663,29 @@ def test_order_queries_match_oracle_with_one_probe(branching, key_bits, data):
         check("maximum")
 
 
+@pytest.mark.parametrize("key_bits", [3, 6])
+def test_order_query_masks_match_a_scan_over_every_occupancy(key_bits):
+    # Every occupancy of one fanout-8 word, filled by inserts into a fresh
+    # array.  At 3 key bits the word is the lone bottom node's.  At 6 it is
+    # the root's, with one key per occupied child, so a query also climbs
+    # from its bottom node and runs the root's masks.  From every start key,
+    # successor and predecessor must equal a scan of the inserted keys.
+    for occupancy in range(256):
+        array = DcvebArray(branching=8, key_bits=key_bits)
+        keys = [d for d in range(8) if occupancy >> d & 1]
+        if key_bits == 6:
+            keys = [8 * d + (5 * d + occupancy) % 8 for d in keys]
+        for key in keys:
+            array.insert(key, key)
+        for start in range(1 << key_bits):
+            above = [k for k in keys if k >= start]
+            below = [k for k in keys if k <= start]
+            want = Entry(above[0], above[0]) if above else None
+            assert array.successor(start) == want, (occupancy, start)
+            want = Entry(below[-1], below[-1]) if below else None
+            assert array.predecessor(start) == want, (occupancy, start)
+
+
 def test_dense_fill_then_drain():
     array = DcvebArray(branching=4, key_bits=16)
     table = OracleMap()

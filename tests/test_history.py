@@ -13,7 +13,7 @@ from dcveb.history import (
     write_history,
 )
 
-from crafted_histories import overlapping_insert_delete_get, violating_histories
+from crafted_histories import _seq, overlapping_insert_delete_get, violating_histories
 
 
 def test_empty_history_ok():
@@ -67,6 +67,16 @@ def test_all_crafted_violations_rejected():
         result = check_linearizable(events)
         assert not result.ok, "violation %d wrongly accepted" % i
         assert result.counterexample
+
+
+def test_counterexample_holds_the_deepest_prefix_only():
+    # the second get repeats the first op, but only the first two ops
+    # linearize, so only their events (ticks 1-4) make the counterexample
+    events = _seq((0, ("get", 3), None), (0, ("insert", 3, 1), None),
+                  (0, ("get", 3), None))
+    result = check_linearizable(events)
+    assert not result.ok
+    assert [e.tick for e in result.counterexample] == [1, 2, 3, 4]
 
 
 def test_overlapping_ops_admit_both_get_outcomes():

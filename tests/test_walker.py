@@ -12,7 +12,6 @@ def test_empty_structure():
     assert report.element_count == 0
     assert report.internal_node_count == 1
     assert report.leaf_node_count == 0
-    assert (report.size, report.height) == (64, 1)
 
 
 def test_full_level_two_array_node_counts():
@@ -143,9 +142,14 @@ def test_detects_top_shift_mismatch():
     array.insert(20, "x")  # height 3: the root digit sits at shift 4
     params = array._ap
     assert params.top == 4
-    array._ap = TreeParams(params.size, params.height, params.root, 2)
+    # no level's shift: not a multiple of the digit width
+    array._ap = TreeParams(params.root, 3)
     report = quiescent_walk(array)
-    assert ("", "top-shift-mismatch", 2) in report.violations
+    assert report.violations == [("", "top-shift-mismatch", 3)]
+    # one level short: the walk meets nodes where entries belong
+    array._ap = TreeParams(params.root, 2)
+    report = quiescent_walk(array)
+    assert ("/1/1", "slot-kind-mismatch", "Node") in report.violations
     array._ap = params
     assert quiescent_walk(array).ok()
 
