@@ -235,7 +235,7 @@ def run_workload(config: WorkloadConfig, structure=None) -> RunResult:
 
 def successor_liveness_run(total_queries: int = 100_000, query_threads: int = 4,
                            churn_threads: int = 4, key_span: int = 4096,
-                           seed: int = 0, branching: int = 64) -> int:
+                           seed: int = 0) -> int:
     """Race ceiling queries against insert/delete churn below a pinned key.
 
     The largest key in the span is inserted once and never deleted, so every
@@ -253,7 +253,7 @@ def successor_liveness_run(total_queries: int = 100_000, query_threads: int = 4,
         raise ValueError("churn_threads must be >= 0")
     if key_span < 2:
         raise ValueError("key_span must be >= 2")
-    array = DcvebArray(branching=branching)
+    array = DcvebArray()
     sentinel = key_span - 1
     array.insert(sentinel, "pinned")
     stop = threading.Event()

@@ -3,10 +3,15 @@
 A history is a flat list of invoke/respond events stamped by one global
 monotonic tick counter.  The checker searches for a total order of the
 operations that respects real-time precedence (op A precedes op B when A
-responded before B was invoked) and replays through the sequential oracle
-reproducing every recorded result.  The search memoizes failed
-(completed-set, oracle-state) frontiers, which keeps small histories cheap
-even when every operation overlaps every other.
+responded before B was invoked; a respond and an invoke that share a tick
+overlap) and replays through the sequential oracle reproducing every
+recorded result.  Each search step admits the pending ops invoked no later
+than the horizon, the earliest response among the pending ops (Wing & Gong's
+minimal-response rule).  The search memoizes failed (completed-set,
+oracle-state) frontiers, which keeps small histories cheap even when every
+operation overlaps every other.  ``replay_witness`` states both rules
+literally, pair by pair, and the all-permutations reference check
+``check_linearizable_naive`` is ``replay_witness`` over every order.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from __future__ import annotations
 import random
 import sys
 import threading
+from itertools import permutations
 from typing import Any, NamedTuple, Optional
 
 from .bench import join_workers, start_worker
@@ -74,7 +80,7 @@ def _random_op(rng: random.Random, key_range: int, value_counter) -> tuple:
 
 
 def record_history(thread_count: int, ops_per_thread: int, key_range: int,
-                   seed: int, branching: int = 4) -> list[Event]:
+                   seed: int) -> list[Event]:
     """Run randomized operations on a fresh array, logging every event.
 
     The GIL switch interval is shrunk for the duration so that even very
@@ -85,7 +91,7 @@ def record_history(thread_count: int, ops_per_thread: int, key_range: int,
     seconds with ``DeadlockSuspectedError``, instead of returning a
     truncated history.
     """
-    array = DcvebArray(branching=branching, key_bits=16)
+    array = DcvebArray(branching=4, key_bits=16)
     events: list[Event] = []
     events_lock = threading.Lock()
     barrier = threading.Barrier(thread_count)
@@ -103,17 +109,7 @@ def record_history(thread_count: int, ops_per_thread: int, key_range: int,
         for op in plans[thread_id]:
             with events_lock:
                 events.append(Event(len(events) + 1, thread_id, "invoke", op, None))
-            name = op[0]
-            if name == "insert":
-                result = array.insert(op[1], op[2])
-            elif name == "delete":
-                result = array.delete(op[1])
-            elif name == "get":
-                result = array.get(op[1])
-            elif name == "successor":
-                result = array.successor(op[1])
-            else:
-                result = array.predecessor(op[1])
+            result = getattr(array, op[0])(*op[1:])
             with events_lock:
                 events.append(Event(len(events) + 1, thread_id, "respond", op, result))
 
@@ -165,10 +161,7 @@ def pair_events(events: list[Event]) -> list[_OpRecord]:
 def check_linearizable(events: list[Event]) -> CheckResult:
     """Exhaustive linearization search against the oracle."""
     ops = pair_events(events)
-    count = len(ops)
-    if count == 0:
-        return CheckResult(True, [], None)
-    full = (1 << count) - 1
+    full = (1 << len(ops)) - 1
     failed: set = set()
     best_prefix: list = []
 
@@ -181,25 +174,17 @@ def check_linearizable(events: list[Event]) -> CheckResult:
             return False
         if len(order) > len(best_prefix):
             best_prefix = list(order)
-        for op in ops:
-            bit = 1 << op.index
-            if mask & bit:
-                continue
-            # schedulable only if no other uncompleted op already responded
-            # before this one was invoked
-            blocked = False
-            for other in ops:
-                if other.index != op.index and not (mask & (1 << other.index)):
-                    if other.responded < op.invoked:
-                        blocked = True
-                        break
-            if blocked:
+        pending = [op for op in ops if not mask & (1 << op.index)]
+        # an op invoked after some pending op responded must wait for it
+        horizon = min(op.responded for op in pending)
+        for op in pending:
+            if op.invoked > horizon:
                 continue
             result, next_state = apply_op(state, op.op)
             if result != op.result:
                 continue
             order.append(op)
-            if search(mask | bit, next_state, order):
+            if search(mask | (1 << op.index), next_state, order):
                 return True
             order.pop()
         failed.add(key)
@@ -230,32 +215,10 @@ def replay_witness(witness: list) -> bool:
 
 def check_linearizable_naive(events: list[Event]) -> bool:
     """All-permutations reference check; exponential, small histories only."""
-    from itertools import permutations
-
     ops = pair_events(events)
     if len(ops) > 8:
         raise ValueError("naive check limited to 8 operations")
-    for perm in permutations(ops):
-        legal = True
-        for i, a in enumerate(perm):
-            for b in perm[i + 1:]:
-                if b.responded < a.invoked:
-                    legal = False
-                    break
-            if not legal:
-                break
-        if not legal:
-            continue
-        state = EMPTY_STATE
-        match = True
-        for op in perm:
-            result, state = apply_op(state, op.op)
-            if result != op.result:
-                match = False
-                break
-        if match:
-            return True
-    return len(ops) == 0
+    return any(replay_witness(list(order)) for order in permutations(ops))
 
 
 def format_history(events: list[Event]) -> list[str]:

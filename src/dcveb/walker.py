@@ -11,8 +11,7 @@ every node's ``parent`` link naming the node whose slot holds it (the
 root's naming nothing), the
 bottom-node index holding exactly the reachable bottom-level nodes, each
 under its key prefix, and the set of live entries identical to what chained
-successor calls enumerate.  The walker also checks the closed-form bound on
-how many internal nodes a tree of the current height may retain.
+successor calls enumerate.
 """
 
 from __future__ import annotations
@@ -56,11 +55,6 @@ def quiescent_walk(array) -> WalkReport:
     for prefix in sorted(bottoms.keys() | indexed.keys()):
         if indexed.get(prefix) is not bottoms.get(prefix):
             report.violations.append(("", "bottom-index-mismatch", prefix))
-    bound = (size - 1) // (n - 1)
-    if report.internal_node_count > bound:
-        report.violations.append(
-            ("", "internal-node-bound", (report.internal_node_count, bound))
-        )
     entries.sort(key=lambda e: e[0])
     try:
         chained = _successor_chain(array, min(size, array._key_limit))

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dcveb.core import DcvebArray, Entry
 from dcveb.history import (
@@ -103,6 +105,74 @@ def test_naive_cross_validation():
         cases.append(record_history(2, 2, 4, seed=seed))
     for events in cases:
         assert check_linearizable(events).ok == check_linearizable_naive(events)
+
+
+def test_replay_witness_rejects_a_result_the_oracle_does_not_give():
+    (get,) = pair_events(_seq((0, ("get", 1), Entry(1, "a"))))
+    assert not replay_witness([get])
+
+
+def test_replay_witness_rejects_an_order_against_real_time():
+    # both gets miss in either order, so only real time tells them apart
+    first, second = pair_events(_seq((0, ("get", 1), None), (1, ("get", 2), None)))
+    assert replay_witness([first, second])
+    assert not replay_witness([second, first])
+
+
+def test_replay_witness_reads_a_shared_tick_as_overlap():
+    # the first get responds at the tick the second is invoked
+    events = [
+        Event(1, 0, "invoke", ("get", 1), None),
+        Event(2, 0, "respond", ("get", 1), None),
+        Event(2, 1, "invoke", ("get", 2), None),
+        Event(3, 1, "respond", ("get", 2), None),
+    ]
+    first, second = pair_events(events)
+    assert replay_witness([first, second])
+    assert replay_witness([second, first])
+
+
+_KEYS = st.integers(0, 3)
+_VALUES = st.sampled_from("ab")
+_OPS = st.one_of(
+    st.tuples(st.just("insert"), _KEYS, _VALUES),
+    st.tuples(st.just("delete"), _KEYS),
+    st.tuples(st.sampled_from(["get", "successor", "predecessor"]), _KEYS),
+)
+_QUERY_RESULTS = st.one_of(st.none(), st.builds(Entry, _KEYS, _VALUES))
+
+
+@st.composite
+def tied_tick_histories(draw):
+    """Complete histories of 1-3 threads with 1-2 ops each, interleaved at
+    random, whose ticks may repeat: each event's tick is its predecessor's
+    or one more."""
+    programs = draw(st.lists(st.lists(_OPS, min_size=1, max_size=2),
+                             min_size=1, max_size=3))
+    queues = [[(kind, op) for op in ops for kind in ("invoke", "respond")]
+              for ops in programs]
+    events = []
+    tick = 1
+    while any(queues):
+        thread = draw(st.sampled_from([t for t, q in enumerate(queues) if q]))
+        kind, op = queues[thread].pop(0)
+        result = None
+        if kind == "respond" and op[0] not in ("insert", "delete"):
+            result = draw(_QUERY_RESULTS)
+        events.append(Event(tick, thread, kind, op, result))
+        tick += draw(st.integers(0, 1))
+    return events
+
+
+@settings(max_examples=300, deadline=None)
+@given(tied_tick_histories())
+def test_tied_ticks_search_agrees_with_naive(events):
+    # a respond and an invoke that share a tick overlap, for the search's
+    # horizon as for the pairwise rule of replay_witness
+    result = check_linearizable(events)
+    assert result.ok == check_linearizable_naive(events)
+    if result.ok:
+        assert replay_witness(result.witness)
 
 
 def test_malformed_double_invoke():
