@@ -37,6 +37,11 @@ _GROUP_IDS = {"getter": 1, "inserter": 2, "remover": 3, "successor": 4,
               "querier": 5, "churner": 6}
 
 
+# seconds a liveness run's or a recorded history's threads get, per join,
+# before a hang counts as a deadlock
+JOIN_SECONDS_CAP = 60.0
+
+
 class DeadlockSuspectedError(RuntimeError):
     """Workers failed to finish within the configured cap."""
 
@@ -240,8 +245,11 @@ def successor_liveness_run(total_queries: int = 100_000, query_threads: int = 4,
 
     The largest key in the span is inserted once and never deleted, so every
     query at or below it has a qualifying entry present for the whole call
-    and must not come back empty.  Returns the number of empty results; a
-    worker exception is re-raised as ``RuntimeError`` (``join_workers``).
+    and must not come back empty.  Returns the number of empty results.
+    Failures follow ``join_workers``: a querier still running
+    ``JOIN_SECONDS_CAP`` seconds into its join, or a churner that long after
+    the queriers are done, raises ``DeadlockSuspectedError``, and a worker
+    exception is re-raised as ``RuntimeError``.
     A run in which a querier would make no query raises ``ValueError``
     before any thread starts, as ``WorkloadConfig.validate`` does.
     """
@@ -284,12 +292,11 @@ def successor_liveness_run(total_queries: int = 100_000, query_threads: int = 4,
     try:
         churners = [start_worker(errors, churner, i) for i in range(churn_threads)]
         queriers = [start_worker(errors, querier, i) for i in range(query_threads)]
-        for t in queriers:
-            t.join()
+        join_workers(queriers, (), JOIN_SECONDS_CAP)
     finally:
-        stop.set()  # the churners exit even when the main thread is interrupted
+        stop.set()  # the churners exit even when the queriers hang or fail
         sys.setswitchinterval(old_interval)
-    join_workers(churners + queriers, errors)
+    join_workers(churners + queriers, errors, JOIN_SECONDS_CAP)
     return none_count[0]
 
 

@@ -22,7 +22,7 @@ Concurrency contract:
   that covers it.  Every insert writes the item under the bottom node's
   mutex, after the ``retired`` check and before the bit and entry stores;
   the item is removed in the critical section that unlinks that node (a
-  delete's unlink pass) or drops it (a growth over an empty height-1
+  delete's climb) or drops it (a growth over an empty height-1
   root).  So a node holding an entry is always indexed, and an indexed node
   that has since been retired is empty for good: a reader that finds it
   retired, or finds its slot empty, answers "absent", which held at a
@@ -51,14 +51,14 @@ Concurrency contract:
   capacity makes it take the guard exclusively to grow the tree first,
   while it holds no other lock.
 * ``delete`` probes ``_bottoms`` and empties the entry's slot under the
-  indexed node's mutex; a miss, a retired node or an empty slot ends it.
-  A node that keeps another entry ends it too.  A delete that empties its
-  node climbs ``parent`` links from it in one unlink pass, one (parent,
-  child) pair at a time, locking each pair top-down, unlinking each child
-  it finds empty and stopping at a parent that keeps another child, is
-  retired, or is None.  A growth links the old root to the level it stacks
-  under that root's mutex, so the climb reaches stacked levels too.  The
-  delete reads no params and takes the guard only to trim, exclusively.
+  indexed node's mutex; a miss, a retired node, an empty slot or a node
+  that keeps another entry ends it.  A delete that empties its node then
+  climbs ``parent`` links from it, locking one (parent, child) pair at a
+  time top-down, unlinking each child it finds empty and stopping at a
+  parent that keeps another child, is retired, or is None.  A growth links
+  the old root to the level it stacks under that root's mutex, so the
+  climb reaches stacked levels too.  The delete reads no params and takes
+  the guard only to trim, exclusively.
 * The guard is always taken before any node mutex: no writer holds a node
   mutex while it takes the guard.  The guard's holders are the insert's
   descent, growth and trim; an insert's store and a delete's slot clear and
@@ -70,9 +70,9 @@ references (reclamation is deferred to the garbage collector), which is what
 lets the query paths run unlocked.
 
 Operations read a node's ``_mutex`` and ``parent``, ``_ap_lock``,
-``_bottoms`` and the helper methods through attributes at call time: the
-scripted races pause or count an operation by putting stand-ins for those
-objects in their place.
+``_bottoms``, ``_grow`` and ``_trim_top`` through attributes at call time:
+the scripted races pause or count an operation by putting stand-ins for
+those objects in their place.
 """
 
 from __future__ import annotations
@@ -497,12 +497,31 @@ class DcvebArray:
         stayed present throughout.  A node that keeps another entry ends the
         call there, with no params read and no guard.
 
-        Only a delete that empties its node runs ``_unlink_path`` from that
-        node, and then ``_trim_top``, the one step that takes the guard.
+        A delete that empties its node climbs ``parent`` links from it, one
+        (parent, child) pair at a time, locked top-down so that lock order
+        follows tree levels.  Under both mutexes it re-checks that the child
+        still fills the parent's slot for ``key`` and is empty, then clears
+        the slot and its bit, retires the child and, for a bottom node,
+        removes the node's ``_bottoms`` item if it is still that node.  An
+        insert that reaches the child later finds it retired and restarts,
+        so an emptied node leaves the tree for good.  The climb stops at a
+        child that is no longer there or no longer empty, at a parent that
+        keeps another child, and at a retired parent or None.  A retired
+        parent has left the tree itself: a popped root still holds the
+        published root in slot 0, and a climb that read the root's link
+        before the trim cleared it reaches it.
+
+        Each link the climb follows was read after its node was emptied
+        under its mutex.  A growth stacks levels on the old root under that
+        same mutex, so either it stacked first and the link already leads to
+        the new level, or it finds the root empty and drops it.  So the
+        climb reaches every level a growth stacked with no params read; it
+        ends in ``_trim_top``, the one step that takes the guard.
         """
         if type(key) is not int or key < 0 or key >= self._key_limit:
             self._check_key(key)
-        node = self._bottoms.get(key >> self._shift)
+        shift = self._shift
+        node = self._bottoms.get(key >> shift)
         if node is None:
             return
         mask = self._mask
@@ -515,70 +534,26 @@ class DcvebArray:
             node.value = word
         if word:
             return
-        self._unlink_path(node, key)
-        self._trim_top()
-
-    def _clear_if_empty(self, node: Node, key: int, s: int, child: Node) -> bool:
-        """Unlink ``child`` from ``node``'s slot for ``key`` (``node``'s digit
-        shift is ``s``), clear the slot's bit and retire ``child`` if
-        ``child`` still fills that slot and is empty, all re-checked under
-        the pair's mutexes.  A bottom-level ``child`` (``s == shift``) also
-        leaves ``_bottoms`` if it is the item there.
-
-        The pair is locked top-down, so lock order follows tree levels.  An
-        insert that reaches ``child`` later finds it retired under its mutex
-        and restarts, so an emptied child leaves the tree for good; a later
-        insert under the same digit installs a fresh node.  A retired
-        ``node`` has left the tree itself (a popped root still holds the
-        published root in slot 0, and a climb that read the root's link
-        before the trim cleared it reaches it), so nothing is unlinked from
-        it.  Returns True when ``node`` itself became empty:
-        only then may the level above need clearing too.
-        """
-        digit = (key >> s) & self._mask
-        bit = 1 << (self._n - 1 - digit)
-        with node._mutex:
-            if node.retired:
-                return False
-            with child._mutex:
-                word = node.value
-                if (node.children[digit] is not child or child.value != 0
-                        or word & bit == 0):
-                    return False
-                node.children[digit] = None
-                word &= ~bit
-                node.value = word
-                child.retired = True
-                if s == self._shift:
-                    bottoms = self._bottoms
-                    if bottoms.get(key >> s) is child:
-                        del bottoms[key >> s]
-                return word == 0
-
-    def _unlink_path(self, node: Node, key: int) -> None:
-        """Unlink every empty node on ``key``'s path above the bottom node
-        ``node``, which the calling delete has just emptied.
-
-        Climbs ``parent`` links: ``_clear_if_empty`` unlinks each child that
-        is verifiably empty and clears its bit, and the climb stops at a
-        parent that keeps another child, is retired, or is None (the root).
-        It never clears a bit over a live entry: emptiness is re-checked
-        while holding both mutexes.
-
-        Each link is read only after its node was emptied under its mutex.
-        A growth stacks levels on the old root under that same mutex, so
-        either it stacked first and the link already leads to the new level,
-        or it finds the root empty and drops it.  So the climb reaches every
-        level a growth stacked, with no guard and no params read.
-        """
-        clear = self._clear_if_empty
-        shift = self._shift
-        s = shift
+        s = shift  # the digit shift of ``node``'s parent
         parent = node.parent
-        while parent is not None and clear(parent, key, s, node):
+        while not word and parent is not None:
+            digit = (key >> s) & mask
+            with parent._mutex:
+                if parent.retired:
+                    break
+                with node._mutex:
+                    if parent.children[digit] is not node or node.value:
+                        break
+                    parent.children[digit] = None
+                    word = parent.value & ~(1 << (mask - digit))
+                    parent.value = word
+                    node.retired = True
+                    if s == shift and self._bottoms.get(key >> s) is node:
+                        del self._bottoms[key >> s]
             node = parent
             parent = node.parent
             s += shift
+        self._trim_top()
 
     def _trim_top(self) -> None:
         """Pop root levels while the root's only occupant is child 0, down

@@ -22,12 +22,9 @@ import threading
 from itertools import permutations
 from typing import Any, NamedTuple, Optional
 
-from .bench import join_workers, start_worker
+from .bench import JOIN_SECONDS_CAP, join_workers, start_worker
 from .core import DcvebArray
 from .oracle import EMPTY_STATE, apply_op
-
-# seconds a recording's threads get before a hang counts as a deadlock
-_JOIN_SECONDS_CAP = 60.0
 
 
 class Event(NamedTuple):
@@ -87,9 +84,9 @@ def record_history(thread_count: int, ops_per_thread: int, key_range: int,
     short per-thread programs actually interleave.  The threads start with
     ``bench.start_worker`` and share the failure policy of
     ``bench.join_workers``: an operation that raises fails the call with
-    ``RuntimeError``, and a thread still running after ``_JOIN_SECONDS_CAP``
-    seconds with ``DeadlockSuspectedError``, instead of returning a
-    truncated history.
+    ``RuntimeError``, and a thread still running after
+    ``bench.JOIN_SECONDS_CAP`` seconds with ``DeadlockSuspectedError``,
+    instead of returning a truncated history.
     """
     array = DcvebArray(branching=4, key_bits=16)
     events: list[Event] = []
@@ -118,7 +115,7 @@ def record_history(thread_count: int, ops_per_thread: int, key_range: int,
     sys.setswitchinterval(1e-5)
     try:
         threads = [start_worker(errors, run, t) for t in range(thread_count)]
-        join_workers(threads, errors, _JOIN_SECONDS_CAP)
+        join_workers(threads, errors, JOIN_SECONDS_CAP)
     finally:
         sys.setswitchinterval(old_interval)
     return events

@@ -1,10 +1,10 @@
 """Stand-ins for the objects ``DcvebArray`` reads through its attributes.
 
 ``SpyIndex`` replaces ``_bottoms`` and ``SpyGuard`` replaces ``_ap_lock``;
-a node's mutex is replaced with ``RunOnEnter``, and a node's ``parent``
-with ``ActOnFirstRead``.  Together they pause an operation at a chosen
-point and count what a path touched, so core needs no hooks and every
-scripted race is a plain test in ``test_race_edges``.
+a node's mutex is replaced with ``RunOnEnter`` (or ``RunOnEveryEnter``),
+and a node's ``parent`` with ``ActOnFirstRead``.  Together they pause an
+operation at a chosen point and count what a path touched, so core needs
+no hooks and every scripted race is a plain test in ``test_race_edges``.
 """
 
 import threading
@@ -66,10 +66,10 @@ class RunOnEnter:
     ``with`` entry or ``acquire`` call, before taking the real lock.
 
     That first entry may be an insert's ``cas_child`` (under the root
-    guard's read lock) or its entry store, a delete's slot clear, an unlink
-    climb's ``_clear_if_empty`` on the parent, or a growth or trim on the old
-    root (under the guard's write lock).  An action that raises leaves the
-    real lock untaken."""
+    guard's read lock) or its entry store, a delete's slot clear or a step
+    of its climb, which enters the parent's mutex before the child's, or a
+    growth or trim on the old root (under the guard's write lock).  An
+    action that raises leaves the real lock untaken."""
 
     def __init__(self, lock, action):
         self._lock = lock
@@ -94,6 +94,14 @@ class RunOnEnter:
 
     def __exit__(self, *exc):
         return self._lock.__exit__(*exc)
+
+
+class RunOnEveryEnter(RunOnEnter):
+    """``RunOnEnter`` that runs ``action`` on every entry, in the entering
+    thread, not just on the first."""
+
+    def _run_action(self):
+        self._action()
 
 
 class ActOnFirstRead:

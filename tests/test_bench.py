@@ -306,6 +306,25 @@ def test_successor_liveness_rejects_a_run_that_checks_nothing(bad):
         successor_liveness_run(**args)
 
 
+def test_successor_liveness_raises_deadlock_suspected(monkeypatch):
+    release = threading.Event()
+
+    def blocked(self, key):
+        # a wait that times out frees every later call, so a run that joins
+        # its queriers without a cap ends, and fails below, instead of hanging
+        release.wait(5)
+        release.set()
+
+    monkeypatch.setattr(DcvebArray, "successor", blocked)
+    monkeypatch.setattr("dcveb.bench.JOIN_SECONDS_CAP", 0.2)
+    try:
+        with pytest.raises(DeadlockSuspectedError):
+            successor_liveness_run(total_queries=200, query_threads=2,
+                                   churn_threads=2, key_span=64, seed=7)
+    finally:
+        release.set()
+
+
 def test_successor_liveness_reraises_worker_error(monkeypatch):
     def crash(self, key):
         raise KeyError(key)

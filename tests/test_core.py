@@ -33,6 +33,11 @@ class TestConstruction:
             with pytest.raises(ValueError):
                 DcvebArray(branching=n)
 
+    def test_invalid_key_bits(self):
+        for bits in (0, -1):
+            with pytest.raises(ValueError, match="key_bits"):
+                DcvebArray(key_bits=bits)
+
     def test_key_domain_enforced(self):
         array = DcvebArray(branching=64, key_bits=16)
         for bad in (-1, 1 << 16, "7", 2.0, True, False):
@@ -486,16 +491,23 @@ class TestResidueAndTrim:
     def test_residue_clean_is_idempotent_on_clean_tree(self):
         from dcveb.walker import structure_fingerprint
 
+        # Each key is alone in its bottom node, so deleting it climbs and
+        # unlinks that node (5000's climb also empties its level-1 node,
+        # and the trim pops the root), and inserting it again rebuilds the
+        # same shape: the climb leaves nothing behind.
         array = make_array()
-        for key in (3, 130, 5000):
+        keys = (3, 130, 5000)
+        for key in keys:
             array.insert(key, key)
         before = structure_fingerprint(array)
-        bottoms = dict(array._bottoms)
-        assert len(bottoms) == 3
-        for prefix, node in bottoms.items():
-            array._unlink_path(node, prefix << array._shift)
+        prefixes = set(array._bottoms)
+        assert prefixes == {key >> array._shift for key in keys}
+        for key in keys:
+            array.delete(key)
+            array.insert(key, key)
         assert structure_fingerprint(array) == before
-        assert array._bottoms == bottoms
+        assert set(array._bottoms) == prefixes
+        assert quiescent_walk(array).ok()
 
     def test_trim_leaves_no_popped_root_reachable(self):
         # insert(60000) grows a fanout-4 tree to height 8 and delete(60000)

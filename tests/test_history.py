@@ -196,6 +196,22 @@ def test_malformed_orphan_respond():
         check_linearizable(events)
 
 
+def test_malformed_tick_going_down():
+    events = [
+        Event(2, 0, "invoke", ("get", 1), None),
+        Event(1, 0, "respond", ("get", 1), None),
+    ]
+    with pytest.raises(MalformedHistoryError, match="non-decreasing"):
+        pair_events(events)
+
+
+def test_naive_check_rejects_more_than_eight_ops():
+    events = _seq(*[(0, ("get", key), None) for key in range(9)])
+    assert check_linearizable(events).ok
+    with pytest.raises(ValueError, match="8 operations"):
+        check_linearizable_naive(events)
+
+
 def test_history_dump_format(tmp_path):
     events = overlapping_insert_delete_get(None)
     lines = format_history(events)

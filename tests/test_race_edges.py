@@ -3,7 +3,8 @@ path.  Each race is paused through a stand-in for an object the array reads
 through an attribute: ``RunOnEnter`` on a node's mutex, ``SpyIndex`` on the
 bottom-node index (an action before or after its k-th probe),
 ``ActOnFirstRead`` in a node's ``parent`` (an action before a climbing
-query reads that parent), or a wrapped helper method; ``SpyGuard`` logs the
+query reads that parent), a node's slot list that acts on its first read of
+one slot, or a wrapped ``_grow`` or ``_trim_top``; ``SpyGuard`` logs the
 root guard's acquires and write queueing.  A race asserts that its pause
 fired, so one whose pause never fires fails.
 
@@ -23,51 +24,49 @@ import pytest
 from dcveb.bitops import child_mask
 from dcveb.core import DcvebArray, Entry, Node
 from dcveb.walker import quiescent_walk, structure_fingerprint
-from doubles import ActOnFirstRead, RunOnEnter, SpyGuard, SpyIndex, record_calls
+from doubles import (ActOnFirstRead, RunOnEnter, RunOnEveryEnter, SpyGuard,
+                     SpyIndex, record_calls)
 
 
 def test_path_shape_of_each_operation():
-    # Which guard acquires, index probes and unlink passes each kind of call
-    # makes, with no concurrent writer.
+    # Which guard acquires, index probes and trims each kind of call makes,
+    # with no concurrent writer.  The probes show a delete's climb: the one
+    # that unlinks a bottom node probes the index to remove its item.
     array = DcvebArray(branching=64)
     index = SpyIndex.install(array)
     guard = SpyGuard.install(array)
-    unlinks = record_calls(array, "_unlink_path")
     trims = record_calls(array, "_trim_top")
 
     def shape(op, *args):
         index.probes = 0
         guard.acquires.clear()
-        unlinks.clear()
         trims.clear()
         result = getattr(array, op)(*args)
-        return (result, guard.acquires[:], index.probes, len(unlinks),
-                len(trims))
+        return (result, guard.acquires[:], index.probes, len(trims))
 
     # a growing insert: the descent's read, the growth's write, the read of
     # the descent that resumes in the new tree; the growth drops the empty
     # root and probes for its index item
-    assert shape("insert", 70, "x") == (None, ["read", "write", "read"],
-                                        2, 0, 0)
+    assert shape("insert", 70, "x") == (None, ["read", "write", "read"], 2, 0)
     assert array.capacity_snapshot().height == 2
     # prefix 0 is not indexed (the dropped root left the index): a descent
-    assert shape("insert", 3, "keep") == (None, ["read"], 1, 0, 0)
+    assert shape("insert", 3, "keep") == (None, ["read"], 1, 0)
     # an insert that hits the index takes nothing
-    assert shape("insert", 4, "near") == (None, [], 1, 0, 0)
+    assert shape("insert", 4, "near") == (None, [], 1, 0)
     # a delete that keeps its node non-empty touches only its slot
-    assert shape("delete", 4) == (None, [], 1, 0, 0)
-    # a delete that empties its node runs one unlink pass (whose clear of
-    # the node probes the index) and a trim, which pops the root
-    assert shape("delete", 70) == (None, ["write"], 2, 1, 1)
+    assert shape("delete", 4) == (None, [], 1, 0)
+    # a delete that empties its node climbs (its unlink of the node probes
+    # the index) and trims, which pops the root
+    assert shape("delete", 70) == (None, ["write"], 2, 1)
     assert array.capacity_snapshot().height == 1
-    # a delete of an absent key makes one probe and no pass
-    assert shape("delete", 71) == (None, [], 1, 0, 0)
+    # a delete of an absent key makes one probe and no climb
+    assert shape("delete", 71) == (None, [], 1, 0)
     # an order query makes one probe, whether it answers in its start node
     # or climbs past the root to answer None
-    assert shape("successor", 3) == (Entry(3, "keep"), [], 1, 0, 0)
-    assert shape("successor", 4) == (None, [], 1, 0, 0)
-    assert shape("predecessor", 63) == (Entry(3, "keep"), [], 1, 0, 0)
-    assert shape("get", 3) == (Entry(3, "keep"), [], 1, 0, 0)
+    assert shape("successor", 3) == (Entry(3, "keep"), [], 1, 0)
+    assert shape("successor", 4) == (None, [], 1, 0)
+    assert shape("predecessor", 63) == (Entry(3, "keep"), [], 1, 0)
+    assert shape("get", 3) == (Entry(3, "keep"), [], 1, 0)
     assert quiescent_walk(array).ok()
 
 
@@ -169,20 +168,23 @@ def test_stale_trail_delete_aborts_without_touching_rebuild():
     # node.  In the pause the branch is emptied (its nodes unlinked) and
     # rebuilt.  The stale node is retired under its mutex, so the delete
     # aborts and leaves the rebuilt entry alone; it linearizes between the
-    # other delete and the re-insert.
+    # other delete and the re-insert.  It takes no mutex but its stale
+    # node's: a climb would enter the root's, which the rebuild spies on.
+    climbed = []
+
     def rebuild():
         array.delete(130)   # empties the branch: the parent is unlinked
         array.insert(130, "new")
+        root = array._ap.root
+        root._mutex = RunOnEnter(root._mutex, lambda: climbed.append(True))
 
     array = DcvebArray(branching=64)
     array.insert(130, "old")
     stale = array._ap.root.children[2]
-    unlinks = record_calls(array, "_unlink_path")
     SpyIndex.install(array).arm(rebuild, after=True)
     array.delete(130)
-    assert array._ap.root.children[2] is not stale
-    # the inner delete cleared; the outer one stopped at the node's mutex
-    assert len(unlinks) == 1
+    assert stale.retired and array._ap.root.children[2] is not stale
+    assert climbed == []
     assert array.get(130) == Entry(130, "new")
     assert quiescent_walk(array).ok()
 
@@ -403,7 +405,7 @@ def test_raising_hook_leaks_no_lock(point, assert_no_lock_held):
         arm(array._bottoms[1], fail())
     elif point == "delete-cleared":  # the emptied node's parent: first lock
         arm(root, fail())
-    else:  # the unlink pass enters the root first, then the trim
+    else:  # the delete's climb enters the root first, then the trim
         arm(root, lambda: arm(root, fail(writing)))
     with pytest.raises(RuntimeError, match="injected at " + point):
         if point == "insert-snapshot":
@@ -501,6 +503,51 @@ def test_climb_passes_a_neighbour_unlinked_during_it(query):
     assert quiescent_walk(array).ok()
 
 
+class _ActOnFirstSlotRead(list):
+    """Slot list that runs ``action`` on its first read of slot ``pos``,
+    then returns what the slot holds."""
+
+    def __init__(self, slots, pos, action):
+        super().__init__(slots)
+        self._pos = pos
+        self._action = action
+
+    def __getitem__(self, pos):
+        if pos == self._pos and self._action is not None:
+            action, self._action = self._action, None
+            action()
+        return super().__getitem__(pos)
+
+
+@pytest.mark.parametrize("query", ["successor", "predecessor"])
+def test_scan_rereads_a_slot_emptied_after_the_word_read(query):
+    # The query's own slot is empty, so it reads the node's word, which
+    # names slot q as the nearest filled one.  Between that word read and
+    # the read of slot q, a delete empties slot q; the node keeps another
+    # entry, so it stays linked.  The query finds slot q empty, reads the
+    # word again from q, and returns the next live entry past q.
+    array = DcvebArray(branching=64, key_bits=6)  # one node: the root
+    if query == "successor":
+        gone, kept, start = 10, 20, 5
+    else:
+        gone, kept, start = 20, 10, 30
+    for key in (gone, kept):
+        array.insert(key, key)
+    node = array._bottoms[0]
+    fired = []
+
+    def evict():
+        fired.append(True)
+        array.delete(gone)
+
+    node.children = _ActOnFirstSlotRead(node.children, gone, evict)
+    assert getattr(array, query)(start) == Entry(kept, kept)
+    assert fired == [True]
+    assert array.get(gone) is None and array._bottoms[0] is node
+    assert not node.retired and node.value == child_mask(kept, 64)
+    assert quiescent_walk(array).ok()
+
+
 def _insert_while_its_indexed_node_is_unlinked():
     # insert(131) finds the node holding only 130 through the index and
     # parks on entering its mutex, after one probe and holding no guard.
@@ -511,7 +558,6 @@ def _insert_while_its_indexed_node_is_unlinked():
     stale = array._bottoms[2]
     index = SpyIndex.install(array)
     guard = SpyGuard.install(array)
-    unlinks = record_calls(array, "_unlink_path")
     fired = []
 
     def unlink():
@@ -524,13 +570,13 @@ def _insert_while_its_indexed_node_is_unlinked():
     stale._mutex = RunOnEnter(stale._mutex, unlink)
     array.insert(131, "landed")
     assert fired == [True], "the insert never paused on its node's mutex"
-    return array, stale, guard, unlinks
+    return array, stale, guard
 
 
 def test_insert_restarts_when_its_bottom_node_is_unlinked():
     # The insert's re-check under the mutex fails, so the entry lands in a
     # fresh node; the stale node never receives it.
-    array, stale, _, _ = _insert_while_its_indexed_node_is_unlinked()
+    array, stale, _ = _insert_while_its_indexed_node_is_unlinked()
     assert stale.children[3] is None
     fresh = array._ap.root.children[2]
     assert fresh is not stale and not fresh.retired
@@ -541,10 +587,10 @@ def test_insert_restarts_when_its_bottom_node_is_unlinked():
 
 def test_index_hit_insert_falls_back_when_its_node_is_unlinked():
     # The same race, seen by its path: the fallback is the guarded descent,
-    # which installs and indexes the fresh node; the delete's one unlink
-    # pass takes no guard.
-    array, stale, guard, unlinks = _insert_while_its_indexed_node_is_unlinked()
-    assert (len(unlinks), guard.acquires) == (1, ["read"])
+    # which installs and indexes the fresh node; the delete's climb, which
+    # unlinked the stale node in the pause, takes no guard.
+    array, stale, guard = _insert_while_its_indexed_node_is_unlinked()
+    assert guard.acquires == ["read"]
     fresh = array._ap.root.children[2]
     assert fresh is not stale and array._bottoms[2] is fresh
     assert quiescent_walk(array).ok()
@@ -667,9 +713,11 @@ def test_index_hit_insert_restarts_when_a_growth_drops_its_root():
 
 def test_delete_that_keeps_its_node_non_empty_touches_only_its_slot():
     # A delete whose bottom node keeps another entry clears the slot and its
-    # bit under that node's mutex and returns: no guard, no unlink pass, no
-    # trim.  A delete of a key that is absent from an indexed node changes
-    # nothing, and one whose prefix is not indexed returns at the probe.
+    # bit under that node's mutex and returns: no guard, no climb, no trim.
+    # The root is the parent of every bottom node here, so a climb would
+    # enter its mutex.  A delete of a key that is absent from an indexed
+    # node changes nothing, and one whose prefix is not indexed returns at
+    # the probe.
     array = DcvebArray(branching=64)
     for key in (5, 130, 131, 4000):
         array.insert(key, key)
@@ -678,13 +726,16 @@ def test_delete_that_keeps_its_node_non_empty_touches_only_its_slot():
         expected.insert(key, key)
     index = SpyIndex.install(array)
     guard = SpyGuard.install(array)
-    unlinks = record_calls(array, "_unlink_path")
     trims = record_calls(array, "_trim_top")
     params = array._ap
+    root = params.root
+    assert all(node.parent is root for node in array._bottoms.values())
+    climbed = []
+    root._mutex = RunOnEnter(root._mutex, lambda: climbed.append(True))
     bottoms = dict(array._bottoms)
     before = structure_fingerprint(array)
     array.delete(130)
-    assert (index.probes, guard.acquires, unlinks, trims) == (1, [], [], [])
+    assert (index.probes, guard.acquires, climbed, trims) == (1, [], [], [])
     assert array._ap is params and array._bottoms == bottoms
     after = structure_fingerprint(array)
     assert after == structure_fingerprint(expected)
@@ -696,7 +747,7 @@ def test_delete_that_keeps_its_node_non_empty_touches_only_its_slot():
     assert index.probes == 1
     array.delete(200)  # prefix 3 is not indexed
     assert index.probes == 2
-    assert (guard.acquires, unlinks, trims) == ([], [], [])
+    assert (guard.acquires, climbed, trims) == ([], [], [])
     assert structure_fingerprint(array) == after
     assert quiescent_walk(array).ok()
 
@@ -737,10 +788,10 @@ def test_insert_indexes_its_bottom_node_before_the_bit_and_entry_stores():
 
 def test_insert_into_an_emptied_node_keeps_it_linked():
     # delete(130) empties the bottom node of prefix 2 and pauses as its
-    # unlink pass enters the parent's (the root's) mutex, before it locks
+    # climb enters the parent's (the root's) mutex, before it locks
     # the node.  In the pause insert(131) stores into that still-linked,
     # indexed, empty node through the index, with one probe and no guard.
-    # The resumed unlink pass finds the node non-empty under its mutex and
+    # The resumed climb finds the node non-empty under its mutex and
     # leaves it linked and indexed.
     fired = []
 
@@ -805,23 +856,26 @@ def test_delete_of_a_retired_bottom_node_removes_nothing_else():
     # delete(130) pauses after its index probe.  In the pause an inner delete
     # empties and retires the bottom node, and 130 returns under a fresh
     # node.  The outer delete finds its node retired and returns: the
-    # structure is exactly as the pause left it.
+    # structure is exactly as the pause left it, and the outer delete never
+    # enters the mutex of the root, the parent of every bottom node.
     seen = {}
+    climbed = []
 
     def rebuild():
         seen["stale"] = array._ap.root.children[2]
         array.delete(130)
         array.insert(130, "new")
         seen["after"] = structure_fingerprint(array)
+        root = array._ap.root
+        root._mutex = RunOnEnter(root._mutex, lambda: climbed.append(True))
 
     array = DcvebArray(branching=64)
     for key in (5, 130, 4000):
         array.insert(key, key)
-    unlinks = record_calls(array, "_unlink_path")
     SpyIndex.install(array).arm(rebuild, after=True)
     array.delete(130)
     assert seen["stale"].retired
-    assert len(unlinks) == 1  # the inner delete's only
+    assert climbed == []
     assert structure_fingerprint(array) == seen["after"]
     assert array.get(130) == Entry(130, "new")
     assert quiescent_walk(array).ok()
@@ -919,25 +973,34 @@ def test_filled_slot_never_has_a_clear_bit_under_churn():
     sweeps = [0]
 
     # A level above the root a delete's start saw can only have been stacked
-    # by a growth that published while that delete ran.  Log each climb step
-    # onto such a level that is still in the tree (unretired): the climb
-    # reached it through the old root's ``parent`` link.
+    # by a growth that published while that delete ran.  Each level a growth
+    # stacks gets a mutex stand-in that logs a deleting thread's entry,
+    # outside its trim, onto such a level that is still in the tree
+    # (unretired): the climb reached it through the old root's ``parent``
+    # link.
     array = DcvebArray(branching=4, key_bits=12)
-    started = threading.local()
-    delete = array.delete
-    clear_if_empty = array._clear_if_empty
 
-    def timed_delete(key):
-        started.top = array._ap.top
-        delete(key)
+    class Mark(threading.local):
+        top = None  # the root shift the thread's delete started under
+        trimming = False
 
-    def logged_clear_if_empty(parent, key, s, child):
-        if s > started.top and not parent.retired:
-            crossed.append((key, s))
-        return clear_if_empty(parent, key, s, child)
+    mark = Mark()
 
-    array.delete = timed_delete
-    array._clear_if_empty = logged_clear_if_empty
+    def marking(method, name, value):
+        def marked(*args):
+            setattr(mark, name, value())
+            try:
+                return method(*args)
+            finally:
+                delattr(mark, name)  # back to the class default
+        return marked
+
+    def log_crossing(level, s):
+        def log():
+            if (mark.top is not None and not mark.trimming and s > mark.top
+                    and not level.retired):
+                crossed.append(s)
+        return log
 
     # only a growth publish raises the root shift and only a trim publish
     # lowers it, so a call that saw the shift move that way saw such a publish
@@ -949,8 +1012,22 @@ def test_filled_slot_never_has_a_clear_bit_under_churn():
                 log.append(top)
         return watched
 
-    array._grow = watching(array._grow, int.__gt__, grown)
-    array._trim_top = watching(array._trim_top, int.__lt__, trimmed)
+    grow = watching(array._grow, int.__gt__, grown)
+
+    def grow_and_spy(key):
+        # the levels above the old root are the ones a growth stacked on it
+        params = array._ap
+        grow(key)
+        level, s = params.root.parent, params.top
+        while level is not None and not isinstance(level._mutex, RunOnEveryEnter):
+            s += array._shift
+            level._mutex = RunOnEveryEnter(level._mutex, log_crossing(level, s))
+            level = level.parent
+
+    array._grow = grow_and_spy
+    array._trim_top = marking(watching(array._trim_top, int.__lt__, trimmed),
+                              "trimming", lambda: True)
+    array.delete = marking(array.delete, "top", lambda: array._ap.top)
 
     def writer(seed):
         rng = random.Random(seed)

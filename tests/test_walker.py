@@ -1,4 +1,5 @@
 import random
+import threading
 
 
 from dcveb.bitops import child_mask
@@ -63,6 +64,23 @@ def test_detects_hidden_live_entry():
     names = {v[1] for v in report.violations}
     assert "bit-clear-subtree-nonempty" in names
     assert "enumeration-mismatch" in names
+
+
+def test_detects_backward_successor_chain():
+    # A corrupt slot 10 holds key 3, so successor(6) answers 3, below the
+    # 5 the chain already holds.  Chaining on from 4 would loop for ever:
+    # the walk records the mismatch and stops.
+    array = DcvebArray()
+    array.insert(5, "A")
+    array.insert(10, "B")
+    array._ap.root.children[10] = Entry(3, "B")
+    reports = []
+    walker = threading.Thread(
+        target=lambda: reports.append(quiescent_walk(array)), daemon=True)
+    walker.start()
+    walker.join(5)
+    assert not walker.is_alive(), "the successor chain looped"
+    assert ("", "enumeration-mismatch", (2, 2)) in reports[0].violations
 
 
 def test_detects_entry_key_mismatch():
