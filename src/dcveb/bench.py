@@ -169,12 +169,8 @@ class RunResult:
     wall_seconds: list[float] = field(default_factory=list)
 
     @property
-    def per_thread_millis(self) -> list[float]:
-        return [t.millis for t in self.timings]
-
-    @property
     def mean_millis(self) -> float:
-        return mean(self.per_thread_millis)
+        return mean(t.millis for t in self.timings)
 
     @property
     def aggregate_ops_per_s(self) -> float:

@@ -41,15 +41,15 @@ Concurrency contract:
   shift, from which the height and capacity follow) change only under the
   root guard's write lock plus the old root's mutex: a growth and a trim
   are the only publishers, and each stores the new parameters plainly.
-* ``insert`` ends in one store under its bottom node's mutex: the node
-  ``_bottoms`` indexes or, on a miss, the one a descent reaches.  It
-  re-checks there that the node is unretired, so the node stays reachable
-  while the mutex is held; a retired node sends it to the descent.  Only
-  the descent holds the root guard's read lock, so its snapshotted root
-  stays published.  It installs a missing child with ``Node.cas_child``
-  and restarts from the same root at a retired node.  A key beyond the
-  capacity makes it take the guard exclusively to grow the tree first,
-  while it holds no other lock.
+* ``insert`` is one retry loop ending in one store under its bottom node's
+  mutex: the node ``_bottoms`` indexes or, on a miss or a restart, the one
+  a descent reaches.  It re-checks there that the node is unretired, so the
+  node stays reachable while the mutex is held.  Only the descent holds the
+  root guard's read lock, so the root it reads stays published; it installs
+  a missing child with ``Node.cas_child``.  A retired node at the store or
+  on the path, or a key past the capacity, restarts the loop into a fresh
+  descent that reads the published root again; the key past the capacity
+  first grows the tree, with the guard taken exclusively and no other lock.
 * ``delete`` probes ``_bottoms`` and empties the entry's slot under the
   indexed node's mutex; a miss, a retired node, an empty slot or a node
   that keeps another entry ends it.  A delete that empties its node then
@@ -62,8 +62,8 @@ Concurrency contract:
 * The guard is always taken before any node mutex: no writer holds a node
   mutex while it takes the guard.  The guard's holders are the insert's
   descent, growth and trim; an insert's store and a delete's slot clear and
-  climb hold node mutexes only.  An insert holds one lock at a time, and
-  no operation holds more than two.
+  climb hold node mutexes only.  An insert holds one node mutex at a
+  time, and no operation holds more than two locks.
 
 Nodes detached from the tree stay readable by threads that still hold
 references (reclamation is deferred to the garbage collector), which is what
@@ -364,15 +364,21 @@ class DcvebArray:
     def insert(self, key: int, value: Any) -> None:
         """Store ``value`` under ``key``, overwriting any entry there.
 
-        One store, under the mutex of ``key``'s bottom node: the node
-        ``_bottoms`` indexes or, on a miss, the one ``_descend`` reaches.  It
-        re-checks there that the node is unretired, then writes the index
-        item, the bit and the entry.  Every node is retired under its mutex
-        as it leaves the tree, so an unretired one stays reachable from the
-        published root while the mutex is held; a retired one sends the
-        insert to ``_descend``.  The store takes no guard.  It takes the
-        mutex with ``acquire`` and releases it in ``finally``, which costs
-        less than ``with``.
+        One retry loop, ending in one store under the mutex of ``key``'s
+        bottom node: the node ``_bottoms`` indexes or, on a miss or after a
+        restart, the one a descent reaches.  The descent holds the root
+        guard's read lock, which every publish takes for writing, so the
+        root it reads from ``_ap`` stays published while it walks down; it
+        reads slots without locks and installs a missing child with
+        ``cas_child``.  It releases the guard before the store, and a key
+        beyond the capacity grows the tree there, while no lock is held.
+        The store re-checks that the node is unretired, then writes the
+        index item, the bit and the entry.  A node is retired under its
+        mutex as it leaves the tree, so an unretired one stays reachable
+        while the mutex is held.  A retired node at the store, a retired
+        parent in ``cas_child`` and a key past the capacity each restart
+        the loop, into a fresh descent.  The store takes no guard, and takes
+        its mutex with ``acquire`` and ``finally``, cheaper than ``with``.
         """
         if type(key) is not int or key < 0 or key >= self._key_limit:
             self._check_key(key)
@@ -380,12 +386,31 @@ class DcvebArray:
             raise ValueError("value must not be None (None marks vacant slots)")
         # ``Entry(key, value)`` would run the NamedTuple's Python __new__
         entry = tuple.__new__(Entry, (key, value))
+        shift = self._shift
         mask = self._mask
-        prefix = key >> self._shift
+        prefix = key >> shift
         node = self._bottoms.get(prefix)
         while True:
             if node is None:
-                node = self._descend(key)
+                ap_lock = self._ap_lock
+                ap_lock.acquire_read()
+                try:
+                    params = self._ap
+                    s = params.top
+                    node = params.root if key >> s <= mask else None
+                    while s and node is not None:
+                        digit = (key >> s) & mask
+                        child = node.children[digit]
+                        if child is None:  # None again if ``node`` is retired
+                            child = node.cas_child(digit, Node(self._n, 0))
+                        node = child
+                        s -= shift
+                finally:
+                    ap_lock.release_read()
+                if node is None:  # a retired parent or a key past capacity
+                    if key >> params.top > mask:
+                        self._grow(key)
+                    continue
             lock = node._mutex
             lock.acquire()
             try:
@@ -401,55 +426,19 @@ class DcvebArray:
                 lock.release()
             node = None
 
-    def _descend(self, key: int) -> Node:
-        """Return ``key``'s bottom node, installing missing nodes on its path.
-
-        Holds the root guard's read lock, so the root snapshotted here stays
-        published: every publish takes the guard's write lock.  It reads
-        slots without locks and installs a missing child with ``cas_child``;
-        a node ``cas_child`` finds retired has left the tree, so the descent
-        restarts from the same root.  A key beyond the capacity releases the
-        guard and grows the tree first, while this thread holds no lock.
-        """
-        n = self._n
-        shift = self._shift
-        mask = self._mask
-        ap_lock = self._ap_lock
-        while True:
-            ap_lock.acquire_read()
-            try:
-                params = self._ap
-                if key >> params.top <= mask:
-                    while True:  # one pass per descent from the root
-                        s = params.top
-                        node = params.root
-                        while s:
-                            digit = (key >> s) & mask
-                            child = node.children[digit]
-                            if child is None:
-                                child = node.cas_child(digit, Node(n, 0))
-                                if child is None:
-                                    break  # ``node`` was retired: restart
-                            node = child
-                            s -= shift
-                        else:
-                            return node
-            finally:
-                ap_lock.release_read()
-            self._grow(key)
-
     def _grow(self, key: int) -> None:
         """Publish a tree tall enough for ``key``, unless one already is.
 
-        Runs under the root guard's write lock, so it waits only for inserts
-        still descending, not for their stores, and the old root's mutex, so
-        no writer can change the root's word meanwhile.  It raises ``top``
-        one digit at a time until ``key`` fits.  A non-empty old root
+        An insert calls it, holding no lock, when its key is past the
+        capacity.  Runs under the root guard's write lock, so it waits only
+        for inserts in a descent, not for their stores, and the old root's
+        mutex, so no writer can change the root's word meanwhile.  It raises
+        ``top`` one digit at a time until ``key`` fits.  A non-empty old root
         becomes child 0 of a chain of new levels, one per digit; the old
         tree is not reorganized.  An empty old root is dropped (retired) for
         one fresh empty root instead, so growth never leaves an all-zeros
         spine behind; a dropped height-1 root also leaves ``_bottoms``, and
-        an insert whose store takes its mutex afterwards descends again.  An
+        an insert whose store takes its mutex afterwards restarts.  An
         adopted old root's ``parent`` is set under its mutex: a delete's
         climb that empties the old root either does so first, and this
         growth drops it, or after, and then reads the link to the new level.

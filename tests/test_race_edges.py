@@ -601,8 +601,9 @@ def test_descent_restarts_when_its_bottom_node_is_unlinked():
     # the pause delete(130) retires that node and insert(130) installs a
     # fresh one, so the re-check fails and the insert descends.  The descent
     # reaches the fresh node and parks on its mutex, where delete(130)
-    # retires that node too: the descent finds it retired and restarts from
-    # the same root, which installs and indexes a third node.
+    # retires that node too: the store finds it retired and the insert's
+    # loop restarts into a fresh descent from the published root, which
+    # installs and indexes a third node.
     array = DcvebArray(branching=64)
     array.insert(130, "evict")
     stale = array._bottoms[2]
@@ -630,6 +631,39 @@ def test_descent_restarts_when_its_bottom_node_is_unlinked():
     assert array.get(131) == Entry(131, "landed")
     assert array.get(130) is None
     assert quiescent_walk(array).ok()
+
+
+def test_descent_restarts_when_a_node_on_its_path_is_unlinked():
+    # Height 3: root child 0 leads to the bottom node holding 5, and root
+    # child 3 to the one holding 60.  Prefix 2 is not indexed, so insert(9)
+    # descends and parks on entering the mutex of root child 0 for
+    # ``cas_child(2)``.  In the pause delete(5) empties its bottom node and
+    # climbs, unlinking and retiring root child 0 too.  The resumed
+    # ``cas_child`` finds its node retired and answers None, so the insert
+    # restarts: it takes the guard again, reads the published root and
+    # installs a fresh path.
+    array = DcvebArray(branching=4, key_bits=6)
+    array.insert(5, 5)
+    array.insert(60, 60)
+    root = array._ap.root
+    old = root.children[0]
+    guard = SpyGuard.install(array)
+    fired = []
+
+    def unlink():
+        array.delete(5)
+        fired.append(True)
+
+    old._mutex = RunOnEnter(old._mutex, unlink)
+    array.insert(9, 9)
+    assert fired == [True], "the descent never paused on the node's mutex"
+    assert old.retired and old.children[2] is None
+    fresh = root.children[0]
+    assert fresh is not old and not fresh.retired
+    assert array._bottoms[2] is fresh.children[2]
+    assert array.get(9) == Entry(9, 9)
+    assert quiescent_walk(array).ok()
+    assert guard.acquires == ["read", "read"]
 
 
 def test_racing_descents_share_the_node_installed_first():
