@@ -6,10 +6,10 @@ Each thread's wall time is measured, and so is each repeat's, from the first
 worker's start to the last join; aggregate throughput is all calls over the
 repeats' wall time.  Key sequences are derived from (seed, group, thread
 index) only, so every adapter sees identical work.
-``run_workload`` is the one thread driver; the stress tests run it on a
-``DcvebArray`` and then walk the tree.  ``successor_liveness_run`` races
-ceiling queries against churn on the same worker helpers, so every run
-fails the same way (see ``join_workers``).
+The stress tests run ``run_workload`` on a ``DcvebArray`` and then walk
+the tree.  ``successor_liveness_run`` and ``history.record_history`` drive
+their own threads on ``start_worker`` and ``join_workers``, so each fails
+the same way; perfbench's ``clients.run_phase`` drives its own too.
 
 Run as a CLI::
 
@@ -237,17 +237,19 @@ def run_workload(config: WorkloadConfig, structure=None) -> RunResult:
 def successor_liveness_run(total_queries: int = 100_000, query_threads: int = 4,
                            churn_threads: int = 4, key_span: int = 4096,
                            seed: int = 0) -> int:
-    """Race ceiling queries against insert/delete churn below a pinned key.
+    """Race ceiling and floor queries against churn between pinned keys.
 
-    The largest key in the span is inserted once and never deleted, so every
-    query at or below it has a qualifying entry present for the whole call
-    and must not come back empty.  Returns the number of empty results.
+    The span's first and last keys are inserted once and never deleted, and
+    churn keys lie strictly between them, so every query in the span has an
+    answer present for the whole call either way.  A querier makes its share
+    of ``total_queries`` successor queries and a predecessor query on each
+    key; the run returns how many of both came back empty.
     Failures follow ``join_workers``: a querier still running
     ``JOIN_SECONDS_CAP`` seconds into its join, or a churner that long after
     the queriers are done, raises ``DeadlockSuspectedError``, and a worker
-    exception is re-raised as ``RuntimeError``.
-    A run in which a querier would make no query raises ``ValueError``
-    before any thread starts, as ``WorkloadConfig.validate`` does.
+    exception is re-raised as ``RuntimeError``.  A run in which a querier
+    would make no query, or with no key between the pins, raises
+    ``ValueError`` before any thread starts.
     """
     if query_threads < 1:
         raise ValueError("query_threads must be >= 1")
@@ -255,11 +257,12 @@ def successor_liveness_run(total_queries: int = 100_000, query_threads: int = 4,
         raise ValueError("total_queries must be >= query_threads")
     if churn_threads < 0:
         raise ValueError("churn_threads must be >= 0")
-    if key_span < 2:
-        raise ValueError("key_span must be >= 2")
+    if key_span < 3:
+        raise ValueError("key_span must be >= 3: churn keys lie between the pins")
     array = DcvebArray()
-    sentinel = key_span - 1
-    array.insert(sentinel, "pinned")
+    last = key_span - 1
+    array.insert(0, "pinned")
+    array.insert(last, "pinned")
     stop = threading.Event()
     none_count = [0]
     count_lock = threading.Lock()
@@ -269,8 +272,8 @@ def successor_liveness_run(total_queries: int = 100_000, query_threads: int = 4,
         randrange = random.Random(thread_seed(seed, "querier", index)).randrange
         misses = 0
         for _ in range(per_thread):
-            if array.successor(randrange(sentinel + 1)) is None:
-                misses += 1
+            key = randrange(last + 1)
+            misses += (array.successor(key) is None) + (array.predecessor(key) is None)
         if misses:
             with count_lock:
                 none_count[0] += misses
@@ -278,7 +281,7 @@ def successor_liveness_run(total_queries: int = 100_000, query_threads: int = 4,
     def churner(index: int):
         randrange = random.Random(thread_seed(seed, "churner", index)).randrange
         while not stop.is_set():
-            key = randrange(sentinel)
+            key = randrange(1, last)
             array.insert(key, key)
             array.delete(key)
 

@@ -27,10 +27,12 @@ Concurrency contract:
   that has since been retired is empty for good: a reader that finds it
   retired, or finds its slot empty, answers "absent", which held at a
   moment inside the call.  ``get`` is one index probe and one slot read, and
-  ``delete`` starts the same way.  ``successor`` and ``predecessor`` make
-  the same one probe and then walk the tree: from the indexed node (or, on
-  a miss, the published root) they climb ``parent`` links to the first
-  ancestor with something on the search side and descend from it.
+  ``delete`` starts the same way.  ``successor`` and ``predecessor`` are
+  one loop: the same probe, then a climb up ``parent`` links from the
+  indexed node (or, on a miss, the published root) to the first ancestor
+  with something on the search side, and a descent.  Five steps differ by
+  direction: the capacity check on a miss, the word's side, the slot picked
+  there, the skip past a node's range and the key re-derived after a move.
 * Every write to a node (its word, its slots, its ``retired`` mark) happens
   under the node's mutex, and a writer checks ``retired`` first.  A node is
   retired under its mutex at the moment it leaves the tree: when an unlink
@@ -173,6 +175,93 @@ class TreeParams:
         self.top = top
 
 
+def _order_query(up: bool):
+    """``DcvebArray.successor`` if ``up``, else ``predecessor``: the
+    direction is a closure constant, so neither pays an extra call frame."""
+
+    def query(self, key: int) -> Optional[Entry]:
+        """``successor``: the entry with the smallest key' >= key, or None;
+        ``predecessor``: the one with the largest key' <= key.  No locks.
+
+        One loop over one node at a time, from ``key``'s indexed bottom node
+        or, on an index miss, the published root; ``s`` is the node's digit
+        shift (0 at the bottom level) and ``at`` caches ``key >> s``.  An
+        empty slot at ``key``'s digit sends the loop to the word, which
+        moves ``key`` to the nearest filled slot on the search side or, if
+        there is none, just past the node's range, and the loop climbs
+        ``parent`` while the digit wraps (past the root: None).  A filled
+        slot is the answer at the bottom level and is descended into above
+        it.  ``key`` only moves toward the search side, and past a range
+        only when a node covering it showed nothing there.  Each node read
+        was in the tree at some moment of the call, and an entry present
+        throughout keeps its path in the tree with its bits set, so a node
+        read that covers it shows it.  Without concurrent writers a call
+        visits at most about ``2 * height`` nodes.
+
+        Five steps read ``up`` (successor / predecessor), none on a filled
+        slot's path: (1) a key past the capacity on an index miss answers
+        None / is clamped to its last key; (2) the word's search side is past
+        the digit / before it, (3) whose nearest slot is its highest / lowest
+        set bit; (4) a skip goes one past the node's range / one below it,
+        wrapping to digit 0 / to the last; (5) ``key`` is ``at``'s first /
+        last key.
+        """
+        if type(key) is not int or key < 0 or key >= self._key_limit:
+            self._check_key(key)
+        n = self._n
+        shift = self._shift
+        mask = self._mask
+        node = self._bottoms.get(key >> shift)
+        s = 0  # ``node``'s digit shift
+        at = key  # ``key >> s``: ``node``'s prefix, its digit included
+        if node is None:
+            params = self._ap
+            s = params.top
+            at = key >> s
+            if at > mask:  # past the capacity
+                if up:
+                    return None
+                key = (n << s) - 1
+                at = mask
+            node = params.root
+        while True:
+            digit = at & mask
+            child = node.children[digit]
+            if child is None:
+                # slot ``p`` owns bit ``mask - p``
+                side = (node.value & ((1 << (mask - digit)) - 1) if up
+                        else node.value >> (n - digit))
+                if side:
+                    q = (n - side.bit_length() if up
+                         else digit - (side & -side).bit_length())
+                    child = node.children[q]
+                    if child is not None and not s:
+                        return child
+                    at += q - digit
+                else:  # skip the node's range; climb while the digit wraps
+                    at = (at | mask) + 1 if up else (at & ~mask) - 1
+                    wrap = 0 if up else mask
+                    while node is not None and at & mask == wrap:
+                        at >>= shift
+                        s += shift
+                        node = node.parent
+                    if node is None:
+                        return None
+                # ``at`` moved: read its slot, or descend into the child found
+                key = at << s if up else ((at + 1) << s) - 1
+                if child is None:
+                    continue
+            if not s:
+                return child
+            node = child
+            s -= shift
+            at = key >> s
+
+    query.__name__ = "successor" if up else "predecessor"
+    query.__qualname__ = "DcvebArray." + query.__name__
+    return query
+
+
 class DcvebArray:
     """Concurrent dynamic set of integer-keyed entries with order queries.
 
@@ -215,13 +304,9 @@ class DcvebArray:
 
     # -- queries (lock-free) ----------------------------------------------
     #
-    # ``get`` reads the key's bottom node from ``_bottoms`` and one slot.
-    # ``successor`` and ``predecessor`` are one loop over one node at a
-    # time, tracking the node's digit shift ``s`` (0 at the bottom level)
-    # and ``at``, which caches ``key >> s`` so that an index hit reads its
-    # digit with one mask, as ``get`` does.  A filled slot's bit is set, so
-    # only an empty slot sends them to the node's word.  The key check is
-    # inlined; only a bad key or an int subclass reaches ``_check_key``.
+    # ``get`` reads the key's bottom node from ``_bottoms`` and one slot;
+    # ``_order_query`` builds ``successor`` and ``predecessor``.  The key
+    # check is inlined; only a bad key or an int subclass calls ``_check_key``.
 
     def get(self, key: int) -> Optional[Entry]:
         if type(key) is not int or key < 0 or key >= self._key_limit:
@@ -231,127 +316,8 @@ class DcvebArray:
             return None
         return node.children[key & self._mask]
 
-    def successor(self, key: int) -> Optional[Entry]:
-        """Entry with the smallest key' >= key, or None.
-
-        Takes no locks.  One loop over one node at a time, at any level,
-        from ``key``'s indexed bottom node or, on an index miss, the
-        published root.  In each node it reads the slot at ``key``'s digit,
-        and only if that is empty the word, which moves ``key`` to the
-        nearest filled slot past the digit.  A filled slot is the answer at
-        the bottom level and is descended into above it.  A node with
-        nothing past the digit moves ``key`` past its range and the loop
-        climbs ``parent``, again while the digit wraps; None (past the root)
-        answers None.
-
-        ``key`` only moves forward, and past a range only when a node
-        covering it showed nothing there.  Each node read was in the tree
-        at some moment of the call.  An entry present for the whole call
-        keeps its bottom node and all its ancestors in the tree with its
-        path's bits set, so a node read that covers it is one of them and
-        shows it.  Without concurrent writers a call visits at most about
-        ``2 * height`` nodes: up to the root and down once.
-        """
-        if type(key) is not int or key < 0 or key >= self._key_limit:
-            self._check_key(key)
-        n = self._n
-        shift = self._shift
-        mask = self._mask
-        node = self._bottoms.get(key >> shift)
-        s = 0  # ``node``'s digit shift
-        at = key  # ``key >> s``: ``node``'s prefix, its digit included
-        if node is None:
-            params = self._ap
-            s = params.top
-            at = key >> s
-            if at > mask:  # past the capacity
-                return None
-            node = params.root
-        while True:
-            digit = at & mask
-            child = node.children[digit]
-            if child is None:
-                # slots past ``digit`` own the bits below its bit
-                above = node.value & ((1 << (mask - digit)) - 1)
-                if not above:  # skip the node's range; climb while it wraps
-                    at = (at | mask) + 1
-                    while node is not None and not at & mask:
-                        at >>= shift
-                        s += shift
-                        node = node.parent
-                    if node is None:
-                        return None
-                    key = at << s
-                    continue
-                q = n - above.bit_length()
-                child = node.children[q]
-                # move to slot ``q`` unless it is the answer: to read it
-                # again, or to descend into it
-                if child is None or s:
-                    at += q - digit
-                    key = at << s
-                    if child is None:
-                        continue  # emptied since the word read
-            if not s:
-                return child
-            node = child
-            s -= shift
-            at = key >> s
-
-    def predecessor(self, key: int) -> Optional[Entry]:
-        """Entry with the largest key' <= key, or None.
-
-        Mirror of successor: an index miss clamps ``key`` to the published
-        capacity's last key once, the word scan moves ``key`` to the last key
-        of the nearest filled slot before the digit, and a node with nothing
-        before the digit moves ``key`` to one below its range and climbs
-        while the digit wraps to the last slot.  A ``key`` below 0 wraps at every
-        level, so the climb ends past the root and answers None.
-        """
-        if type(key) is not int or key < 0 or key >= self._key_limit:
-            self._check_key(key)
-        n = self._n
-        shift = self._shift
-        mask = self._mask
-        node = self._bottoms.get(key >> shift)
-        s = 0  # ``node``'s digit shift
-        at = key  # ``key >> s``
-        if node is None:
-            params = self._ap
-            s = params.top
-            at = key >> s
-            if at > mask:  # past the capacity: clamp to its last key
-                key = (n << s) - 1
-                at = mask
-            node = params.root
-        while True:
-            digit = at & mask
-            child = node.children[digit]
-            if child is None:
-                # slots before ``digit``, nearest first from bit 0 up
-                below = node.value >> (n - digit)
-                if not below:  # skip the node's range; climb while it wraps
-                    at = (at & ~mask) - 1
-                    while node is not None and at & mask == mask:
-                        at >>= shift
-                        s += shift
-                        node = node.parent
-                    if node is None:
-                        return None
-                    key = ((at + 1) << s) - 1
-                    continue
-                q = digit - (below & -below).bit_length()
-                child = node.children[q]
-                if child is None or s:
-                    at += q - digit
-                    key = ((at + 1) << s) - 1
-                    if child is None:
-                        continue
-            if not s:
-                return child
-            node = child
-            s -= shift
-            at = key >> s
+    successor = _order_query(True)
+    predecessor = _order_query(False)
 
     def minimum(self) -> Optional[Entry]:
         return self.successor(0)

@@ -10,8 +10,8 @@ equal to its path key, no reachable node retired or holding its mutex,
 every node's ``parent`` link naming the node whose slot holds it (the
 root's naming nothing), the
 bottom-node index holding exactly the reachable bottom-level nodes, each
-under its key prefix, and the set of live entries identical to what chained
-successor calls enumerate.
+under its key prefix, and the live entries identical to what chained
+successor calls enumerate upward and chained predecessor calls downward.
 """
 
 from __future__ import annotations
@@ -56,14 +56,18 @@ def quiescent_walk(array) -> WalkReport:
         if indexed.get(prefix) is not bottoms.get(prefix):
             report.violations.append(("", "bottom-index-mismatch", prefix))
     entries.sort(key=lambda e: e[0])
-    try:
-        chained = _successor_chain(array, min(size, array._key_limit))
-    except (AttributeError, TypeError) as exc:  # a slot of the wrong kind
-        report.violations.append(("", "enumeration-failed", repr(exc)))
-    else:
-        if entries != chained:
+    bound = min(size, array._key_limit)
+    for name, start, step, expected in (
+            ("successor", 0, 1, entries),
+            ("predecessor", bound - 1, -1, entries[::-1])):
+        try:
+            chained = _chain(getattr(array, name), start, step, bound)
+        except (AttributeError, IndexError, TypeError) as exc:  # a bad slot or word
+            report.violations.append(("", "enumeration-failed", (name, repr(exc))))
+            continue
+        if chained != expected:
             report.violations.append(
-                ("", "enumeration-mismatch", (len(entries), len(chained))))
+                ("", "enumeration-mismatch", (name, len(expected), len(chained))))
     report.element_count = len(entries)
     return report
 
@@ -119,21 +123,18 @@ def _walk(node, level, height, n, key_prefix, path, report, entries, bottoms) ->
     return total
 
 
-def _successor_chain(array, bound) -> list:
-    """Enumerate by chained ceiling queries; ``bound`` caps the start key at
-    the structure's addressable-and-legal key range."""
+def _chain(query, key, step, bound) -> list:
+    """Enumerate by chained order queries from ``key`` by ``step`` (1 or -1)
+    within the addressable-and-legal key range ``[0, bound)``."""
     out = []
-    key = 0
-    while key < bound:
-        entry = array.successor(key)
+    while 0 <= key < bound:
+        entry = query(key)
         if entry is None:
             break
-        if out and entry.key <= out[-1][0]:
-            # non-increasing chain would loop forever; record and bail
-            out.append((entry.key, entry.value))
-            break
         out.append((entry.key, entry.value))
-        key = entry.key + 1
+        if len(out) > 1 and (entry.key - out[-2][0]) * step <= 0:
+            break  # a chain that stalls or turns back would loop forever
+        key = entry.key + step
     return out
 
 

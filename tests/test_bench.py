@@ -8,13 +8,16 @@ import pytest
 import dcveb
 from dcveb.bench import (
     CSV_HEADER,
+    JOIN_SECONDS_CAP,
     DeadlockSuspectedError,
     LockedOracle,
     WorkloadConfig,
     adapters,
     emit_csv,
+    join_workers,
     main,
     run_workload,
+    start_worker,
     successor_liveness_run,
 )
 from dcveb.core import DcvebArray, Entry
@@ -276,11 +279,9 @@ def test_insert_only_workload_hits_node_bound():
         for key in range(4096):
             array.insert(key, key)
 
-    threads = [threading.Thread(target=insert_all) for _ in range(2)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(60)
+    errors: list = []
+    threads = [start_worker(errors, insert_all) for _ in range(2)]
+    join_workers(threads, errors, JOIN_SECONDS_CAP)
     report = quiescent_walk(array)
     assert report.ok(), report.violations
     assert report.element_count == 4096
@@ -293,11 +294,21 @@ def test_successor_liveness_smoke():
     assert misses == 0
 
 
+def test_successor_liveness_counts_empty_floor_queries(monkeypatch):
+    # every floor query in the span has the pinned key 0 below it, so a
+    # predecessor that answers None is counted as a miss each time
+    monkeypatch.setattr(DcvebArray, "predecessor", lambda self, key: None)
+    misses = successor_liveness_run(total_queries=200, query_threads=2,
+                                    churn_threads=1, key_span=64, seed=7)
+    assert misses == 200
+
+
 @pytest.mark.parametrize("bad", [
     {"query_threads": 0},
     {"total_queries": 3, "query_threads": 4},
     {"churn_threads": -1},
     {"key_span": 1},
+    {"key_span": 2},  # no churn key strictly between the two pins
 ])
 def test_successor_liveness_rejects_a_run_that_checks_nothing(bad):
     args = {"total_queries": 20, "query_threads": 2, "churn_threads": 2,

@@ -338,6 +338,25 @@ class TestOrderQueries:
         assert array.minimum() == Entry(5, "A")
         assert array.maximum() == Entry(130, "C")
 
+    def test_skips_and_climbs_end_in_either_direction(self):
+        # A skip that moves the wrong way, or a climb that never sees its
+        # digit wrap, loops for ever: the queries run on a thread so that
+        # such a loop fails here instead of hanging the run.
+        array = make_array(branching=4, key_bits=8)
+        array.insert(5, "A")
+        array.insert(200, "B")  # height 4; 5 and 200 part at the root
+        answers = []
+
+        def query():
+            answers.extend([array.successor(6), array.successor(201),
+                            array.predecessor(199), array.predecessor(4)])
+
+        worker = threading.Thread(target=query, daemon=True)
+        worker.start()
+        worker.join(5)
+        assert not worker.is_alive(), "an order query looped"
+        assert answers == [Entry(200, "B"), None, Entry(5, "A"), None]
+
 
 def test_detached_nodes_stay_empty_and_leave_the_bottom_index():
     array = DcvebArray(branching=4, key_bits=8)

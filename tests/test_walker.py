@@ -80,7 +80,26 @@ def test_detects_backward_successor_chain():
     walker.start()
     walker.join(5)
     assert not walker.is_alive(), "the successor chain looped"
-    assert ("", "enumeration-mismatch", (2, 2)) in reports[0].violations
+    assert ("", "enumeration-mismatch", ("successor", 2, 2)) in reports[0].violations
+
+
+def test_detects_predecessor_chain_that_skips_an_entry():
+    # The tree is sound and every successor answer right, so only the
+    # downward chain can show a floor query that misses an entry.
+    array = DcvebArray()
+    for key in (5, 70, 130):
+        array.insert(key, key)
+    floor = array.predecessor
+
+    def skipping(key):
+        entry = floor(key)
+        return floor(entry.key - 1) if entry and entry.key == 70 else entry
+
+    array.predecessor = skipping
+    report = quiescent_walk(array)
+    assert report.violations == [("", "enumeration-mismatch", ("predecessor", 3, 2))]
+    del array.predecessor
+    assert quiescent_walk(array).ok()
 
 
 def test_detects_entry_key_mismatch():
