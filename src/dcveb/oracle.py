@@ -1,14 +1,13 @@
 """Single-threaded sorted-map oracle used as ground truth.
 
-Two faces of the same semantics:
+:class:`OracleMap` is the one sequential model: a mutable, bisect-backed
+ordered map, fast enough to shadow long randomized runs call by call.
+:func:`apply_op` threads an immutable state tuple through it, so the
+linearizability checker can branch and memoize states cheaply without a
+second copy of the semantics.
 
-* :class:`OracleMap`: mutable, bisect-backed, fast enough to shadow long
-  randomized runs call by call.
-* :func:`apply_op`: pure function threading an immutable state tuple, so the
-  linearizability checker can branch and memoize states cheaply.
-
-Both implement ceiling/floor semantics: successor(k) is the entry with the
-smallest key >= k, predecessor(k) the largest key <= k.
+Ceiling/floor semantics: successor(k) is the entry with the smallest
+key >= k, predecessor(k) the largest key <= k.
 """
 
 from __future__ import annotations
@@ -87,47 +86,24 @@ class OracleMap:
 # Immutable state for the checker: a tuple of (key, value) pairs sorted by key.
 EMPTY_STATE: tuple = ()
 
+_MUTATORS = ("insert", "delete")
+_OPS = _MUTATORS + ("get", "successor", "predecessor", "minimum", "maximum")
+
 
 def apply_op(state: tuple, op: tuple):
     """Pure transition: returns (result, next_state).
 
-    Deterministic and total for well-formed ops; the state is never mutated.
+    Runs ``op`` on a fresh :class:`OracleMap` holding ``state``; the state
+    is never mutated.  Deterministic and total for well-formed ops.
     """
     name = op[0]
-    if name == "insert":
-        key, value = op[1], op[2]
-        if value is None:
-            raise ValueError("value must not be None")
-        kept = [p for p in state if p[0] != key]
-        kept.append((key, value))
-        kept.sort(key=lambda p: p[0])
-        return None, tuple(kept)
-    if name == "delete":
-        key = op[1]
-        return None, tuple(p for p in state if p[0] != key)
-    if name == "get":
-        key = op[1]
-        for k, v in state:
-            if k == key:
-                return Entry(k, v), state
-        return None, state
-    if name == "successor":
-        key = op[1]
-        for k, v in state:
-            if k >= key:
-                return Entry(k, v), state
-        return None, state
-    if name == "predecessor":
-        key = op[1]
-        best = None
-        for k, v in state:
-            if k <= key:
-                best = Entry(k, v)
-            else:
-                break
-        return best, state
-    if name == "minimum":
-        return (Entry(*state[0]) if state else None), state
-    if name == "maximum":
-        return (Entry(*state[-1]) if state else None), state
-    raise ValueError("unknown op %r" % (name,))
+    if name not in _OPS:
+        raise ValueError("unknown op %r" % (name,))
+    table = OracleMap()
+    table._values = dict(state)
+    table._keys = list(table._values)  # sorted: dicts keep the state's order
+    result = getattr(table, name)(*op[1:])
+    if name in _MUTATORS:
+        keys = table._keys
+        state = tuple(zip(keys, map(table._values.__getitem__, keys)))
+    return result, state

@@ -7,6 +7,8 @@ PASS/FAIL lines as they complete.
 import random
 import time
 
+import pytest
+
 from dcveb.bench import WorkloadConfig, run_workload, successor_liveness_run
 from dcveb.core import DcvebArray
 from dcveb.history import (
@@ -154,6 +156,33 @@ def test_linearizability(tmp_path):
         "rejected_valid=%d broken_witness=%d accepted_invalid=%d runtime=%.1fs%s"
         % (rejected_valid, broken_witness, accepted_invalid, elapsed,
            " first_rejected=" + kept if kept else ""),
+    )
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="ROADMAP item 4: order queries can return a stale answer, which "
+    "about 2.5% of these histories expose",
+)
+def test_linearizability_dense(tmp_path):
+    # Longer histories than the gate's (3 x 50 ops over 16 keys), so that a
+    # change in the rate of rejected histories shows in one run.
+    started = time.perf_counter()
+    rejected = 0
+    kept = ""
+    for seed in range(1000):
+        events = record_history(3, 50, 16, seed=seed)
+        if not check_linearizable(events).ok:
+            rejected += 1
+            if not kept:
+                kept = str(tmp_path / ("rejected-seed%d.history" % seed))
+                write_history(events, kept)
+    elapsed = time.perf_counter() - started
+    _verdict(
+        "linearizability-dense",
+        rejected == 0,
+        "rejected=%d runtime=%.1fs%s"
+        % (rejected, elapsed, " first_rejected=" + kept if kept else ""),
     )
 
 

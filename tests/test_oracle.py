@@ -16,6 +16,29 @@ def brute_predecessor(state, key):
     return Entry(*max(candidates)) if candidates else None
 
 
+def brute_apply(table, op):
+    """Plain-dict reference model, independent of ``OracleMap``'s bisect
+    code: applies ``op`` to the dict ``table`` and returns its result."""
+    name = op[0]
+    if name == "insert":
+        table[op[1]] = op[2]
+        return None
+    if name == "delete":
+        table.pop(op[1], None)
+        return None
+    if name == "get":
+        return Entry(op[1], table[op[1]]) if op[1] in table else None
+    pairs = sorted(table.items())
+    if name == "successor":
+        return brute_successor(pairs, op[1])
+    if name == "predecessor":
+        return brute_predecessor(pairs, op[1])
+    if name == "minimum":
+        return Entry(*pairs[0]) if pairs else None
+    assert name == "maximum"
+    return Entry(*pairs[-1]) if pairs else None
+
+
 def test_successor_example():
     state = ((5, "A"), (130, "C"))
     result, after = apply_op(state, ("successor", 6))
@@ -50,8 +73,10 @@ def test_insert_rejects_none_value():
 
 
 def test_unknown_op_rejected():
-    with pytest.raises(ValueError):
-        apply_op(EMPTY_STATE, ("frobnicate", 1))
+    # ``items`` and ``__len__`` are OracleMap attributes but not ops
+    for op in (("frobnicate", 1), ("items",), ("__len__",)):
+        with pytest.raises(ValueError):
+            apply_op(EMPTY_STATE, op)
 
 
 ops_strategy = st.lists(
@@ -72,14 +97,13 @@ ops_strategy = st.lists(
 @given(ops_strategy)
 def test_apply_is_deterministic_and_matches_brute_force(ops):
     state = EMPTY_STATE
+    table = {}
     for op in ops:
         result_one, state_one = apply_op(state, op)
         result_two, state_two = apply_op(state, op)
         assert result_one == result_two and state_one == state_two
-        if op[0] == "successor":
-            assert result_one == brute_successor(state, op[1])
-        elif op[0] == "predecessor":
-            assert result_one == brute_predecessor(state, op[1])
+        assert result_one == brute_apply(table, op)
+        assert state_one == tuple(sorted(table.items()))
         state = state_one
     assert list(state) == sorted(state, key=lambda p: p[0])
 
