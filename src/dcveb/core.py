@@ -86,7 +86,7 @@ from .bitops import (
     # unused here: an insert ORs its bit in under the node's mutex, and the
     # order queries find the nearest occupied child with inline masks.  The
     # per-layer tracer patches these three names in this module, so they
-    # stay until the tracer learns the new shape (ROADMAP item 3).
+    # stay until the tracer learns the new shape (ROADMAP item 5).
     atomic_set_child,  # noqa: F401
     max_child_below,  # noqa: F401
     min_child_above,  # noqa: F401

@@ -2,14 +2,16 @@
 
 A history is a flat list of invoke/respond events stamped by one global
 monotonic tick counter.  The checker searches for a total order of the
-operations that respects real-time precedence (op A precedes op B when A
-responded before B was invoked; a respond and an invoke that share a tick
-overlap) and replays through the sequential oracle reproducing every
-recorded result.  Each search step admits the pending ops invoked no later
-than the horizon, the earliest response among the pending ops (Wing & Gong's
-minimal-response rule).  The search memoizes failed (completed-set,
-oracle-state) frontiers, which keeps small histories cheap even when every
-operation overlaps every other.  ``replay_witness`` states both rules
+operations that keeps each thread's ops in program order, respects real-time
+precedence (op A precedes op B when A responded before B was invoked; a
+respond and an invoke that share a tick overlap) and replays through the
+sequential oracle reproducing every recorded result.  The search holds one
+cursor per thread into its program-ordered ops.  Each step admits the head
+ops invoked no later than the horizon, the earliest response among the heads,
+which is the earliest among all pending ops (Wing & Gong's minimal-response
+rule), so a step costs O(threads).  The search memoizes failed (per-thread
+cursors, oracle state) frontiers, which keeps small histories cheap even when
+every operation overlaps every other.  ``replay_witness`` states the rules
 literally, pair by pair, and the all-permutations reference check
 ``check_linearizable_naive`` is ``replay_witness`` over every order.
 """
@@ -158,37 +160,40 @@ def pair_events(events: list[Event]) -> list[_OpRecord]:
 def check_linearizable(events: list[Event]) -> CheckResult:
     """Exhaustive linearization search against the oracle."""
     ops = pair_events(events)
-    full = (1 << len(ops)) - 1
+    threads = dict.fromkeys(op.thread for op in ops)
+    lanes = [[op for op in ops if op.thread == t] for t in threads]  # program order
     failed: set = set()
     best_prefix: list = []
 
-    def search(mask: int, state: tuple, order: list) -> bool:
+    def search(cursors: tuple, state: tuple, order: list) -> bool:
         nonlocal best_prefix
-        if mask == full:
+        if len(order) == len(ops):
             return True
-        key = (mask, state)
+        key = (cursors, state)
         if key in failed:
             return False
         if len(order) > len(best_prefix):
             best_prefix = list(order)
-        pending = [op for op in ops if not mask & (1 << op.index)]
-        # an op invoked after some pending op responded must wait for it
-        horizon = min(op.responded for op in pending)
-        for op in pending:
+        heads = sorted((lane[c], t) for t, (lane, c) in enumerate(zip(lanes, cursors))
+                       if c < len(lane))
+        # an op invoked after some pending op responded must wait for it; a
+        # lane's responses rise, so the earliest pending response is a head's
+        horizon = min(op.responded for op, _ in heads)
+        for op, t in heads:
             if op.invoked > horizon:
                 continue
             result, next_state = apply_op(state, op.op)
             if result != op.result:
                 continue
             order.append(op)
-            if search(mask | (1 << op.index), next_state, order):
+            if search(cursors[:t] + (cursors[t] + 1,) + cursors[t + 1:], next_state, order):
                 return True
             order.pop()
         failed.add(key)
         return False
 
     witness: list = []
-    if search(0, EMPTY_STATE, witness):
+    if search((0,) * len(lanes), EMPTY_STATE, witness):
         return CheckResult(True, witness, None)
     ticks = {t for op in best_prefix for t in (op.invoked, op.responded)}
     counterexample = [e for e in events if e.tick in ticks] or list(events)
@@ -202,10 +207,11 @@ def replay_witness(witness: list) -> bool:
         result, state = apply_op(state, op.op)
         if result != op.result:
             return False
-    # real-time order: an op responding before another's invoke must precede it
+    # real-time order: an op responding before another's invoke must precede
+    # it; program order: a thread's ops keep their order even on a shared tick
     for i, a in enumerate(witness):
         for b in witness[i + 1:]:
-            if b.responded < a.invoked:
+            if b.responded < a.invoked or (b.thread == a.thread and b.index < a.index):
                 return False
     return True
 

@@ -162,7 +162,7 @@ def test_linearizability(tmp_path):
 @pytest.mark.xfail(
     strict=True, raises=AssertionError,
     reason="ROADMAP item 4: order queries can return a stale answer, which "
-    "about 2.5% of these histories expose",
+    "about 1% of these histories (4-17 per 1,000) expose",
 )
 def test_linearizability_dense(tmp_path):
     # Longer histories than the gate's (3 x 50 ops over 16 keys), so that a

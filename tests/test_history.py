@@ -87,6 +87,24 @@ def test_overlapping_ops_admit_both_get_outcomes():
         assert result.ok, outcome
 
 
+def test_concurrent_inserts_of_one_key_admit_either_value():
+    # both orders of the inserts reach the same per-thread cursors with
+    # different states, so a memo keyed on the cursors alone would reject
+    # whichever value the first order tried and lost
+    for value in ("a", "b"):
+        events = [
+            Event(1, 0, "invoke", ("insert", 1, "a"), None),
+            Event(2, 1, "invoke", ("insert", 1, "b"), None),
+            Event(3, 0, "respond", ("insert", 1, "a"), None),
+            Event(4, 1, "respond", ("insert", 1, "b"), None),
+            Event(5, 2, "invoke", ("get", 1), None),
+            Event(6, 2, "respond", ("get", 1), Entry(1, value)),
+        ]
+        result = check_linearizable(events)
+        assert result.ok, value
+        assert result.witness[1].op == ("insert", 1, value)
+
+
 def test_witness_is_replayable_and_emitted():
     events = overlapping_insert_delete_get(None)
     result = check_linearizable(events)
@@ -130,6 +148,34 @@ def test_replay_witness_reads_a_shared_tick_as_overlap():
     first, second = pair_events(events)
     assert replay_witness([first, second])
     assert replay_witness([second, first])
+
+
+def test_a_thread_never_overlaps_itself_on_a_shared_tick():
+    # the get responds at the tick its own thread invokes the insert; the
+    # shared tick makes them overlap in real time, yet program order still
+    # puts the get first, so it cannot read the insert's value
+    events = [
+        Event(1, 0, "invoke", ("get", 1), None),
+        Event(2, 0, "respond", ("get", 1), Entry(1, "a")),
+        Event(2, 0, "invoke", ("insert", 1, "a"), None),
+        Event(3, 0, "respond", ("insert", 1, "a"), None),
+    ]
+    get, insert = pair_events(events)
+    assert not replay_witness([insert, get])
+    assert not check_linearizable(events).ok
+    assert not check_linearizable_naive(events)
+
+
+def test_long_recorded_witnesses_replay():
+    # 150-op witnesses: program order and real time, pair by pair
+    accepted = 0
+    for seed in range(50):
+        result = check_linearizable(record_history(3, 50, 16, seed=seed))
+        if result.ok:
+            accepted += 1
+            assert len(result.witness) == 150
+            assert replay_witness(result.witness)
+    assert accepted
 
 
 _KEYS = st.integers(0, 3)
