@@ -241,8 +241,9 @@ def successor_liveness_run(total_queries: int = 100_000, query_threads: int = 4,
 
     The span's first and last keys are inserted once and never deleted, and
     churn keys lie strictly between them, so every query in the span has an
-    answer present for the whole call either way.  A querier makes its share
-    of ``total_queries`` successor queries and a predecessor query on each
+    answer present for the whole call either way.  The queriers split
+    ``total_queries`` successor queries, the first ones taking one more each
+    when it does not divide evenly, and make a predecessor query on each
     key; the run returns how many of both came back empty.
     Failures follow ``join_workers``: a querier still running
     ``JOIN_SECONDS_CAP`` seconds into its join, or a churner that long after
@@ -266,12 +267,12 @@ def successor_liveness_run(total_queries: int = 100_000, query_threads: int = 4,
     stop = threading.Event()
     none_count = [0]
     count_lock = threading.Lock()
-    per_thread = total_queries // query_threads
+    per_thread, extra = divmod(total_queries, query_threads)
 
     def querier(index: int):
         randrange = random.Random(thread_seed(seed, "querier", index)).randrange
         misses = 0
-        for _ in range(per_thread):
+        for _ in range(per_thread + (index < extra)):
             key = randrange(last + 1)
             misses += (array.successor(key) is None) + (array.predecessor(key) is None)
         if misses:

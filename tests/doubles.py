@@ -14,7 +14,7 @@ from dcveb.rwlock import FairRWLock
 
 class SpyIndex(dict):
     """Bottom-node index that counts ``get`` probes, logs every item store,
-    and can run one action just before or just after a chosen probe.
+    and can run one action just before or just after the next probe.
 
     Every operation makes one probe before it takes any lock or reads any
     node; an order query makes no other, since it leaves its start node by
@@ -27,7 +27,6 @@ class SpyIndex(dict):
         self.probes = 0
         self.stores = []  # (prefix, mutex held, retired, word, slots)
         self._action = None
-        self._at = 0
         self._after = False
 
     @classmethod
@@ -35,11 +34,11 @@ class SpyIndex(dict):
         index = array._bottoms = cls(array._bottoms)
         return index
 
-    def arm(self, action, probe=1, after=False):
+    def arm(self, action, after=False):
         """Run ``action`` once, before (or, with ``after``, right after) the
-        ``probe``-th ``get`` from now.  Resets the probe count."""
+        next ``get``.  Resets the probe count."""
         self.probes = 0
-        self._action, self._at, self._after = action, probe, after
+        self._action, self._after = action, after
 
     def _fire(self):
         action, self._action = self._action, None
@@ -47,7 +46,7 @@ class SpyIndex(dict):
 
     def get(self, prefix, default=None):
         self.probes += 1
-        fire = self._action is not None and self.probes == self._at
+        fire = self._action is not None
         if fire and not self._after:
             self._fire()
         node = super().get(prefix, default)

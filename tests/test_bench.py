@@ -215,17 +215,35 @@ def test_cli_smoke(tmp_path, capsys):
     assert csv_path.exists()
 
 
-def test_module_entry_point_runs_without_warnings():
-    # ``python -m dcveb`` runs the CLI; ``-W error`` turns the runpy warning
-    # that ``python -m dcveb.bench`` gives into a failure
+def _run_python(*args):
+    """Run a fresh interpreter that imports this checkout's ``dcveb``."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(dcveb.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-W", "error", "-m", "dcveb", "--help"],
-                          env=env, capture_output=True, text=True, timeout=60)
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_module_entry_point_runs_without_warnings():
+    # ``python -m dcveb`` runs the CLI; ``-W error`` turns any runpy warning
+    # into a failure
+    proc = _run_python("-W", "error", "-m", "dcveb", "--help")
     assert proc.returncode == 0, proc.stderr
     assert "--structure" in proc.stdout
     assert proc.stderr == ""
+
+
+def test_package_import_loads_neither_the_cli_nor_the_checker():
+    # the package exports the structure and what perfbench reads through it;
+    # the harness stays in its own modules, loaded only by their callers.
+    # perfbench's tracer reads bitops, core and rwlock off the package.
+    assert dcveb.__all__ == ["Capacity", "DcvebArray", "Entry", "OracleMap",
+                             "quiescent_walk"]
+    proc = _run_python("-c", "import sys, dcveb; print(*sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert {"dcveb.bench", "dcveb.history"}.isdisjoint(loaded)
+    assert {"dcveb.bitops", "dcveb.core", "dcveb.rwlock"} <= loaded
 
 
 def test_cli_rejects_unknown_structure(capsys):
@@ -301,6 +319,15 @@ def test_successor_liveness_counts_empty_floor_queries(monkeypatch):
     misses = successor_liveness_run(total_queries=200, query_threads=2,
                                     churn_threads=1, key_span=64, seed=7)
     assert misses == 200
+
+
+def test_successor_liveness_makes_every_query_of_an_uneven_split(monkeypatch):
+    # 201 queries over 2 queriers: one makes 101, the other 100, so the
+    # always-empty floor query is counted 201 times, not 2 * (201 // 2)
+    monkeypatch.setattr(DcvebArray, "predecessor", lambda self, key: None)
+    misses = successor_liveness_run(total_queries=201, query_threads=2,
+                                    churn_threads=1, key_span=64, seed=7)
+    assert misses == 201
 
 
 @pytest.mark.parametrize("bad", [

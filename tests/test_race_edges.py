@@ -1,7 +1,7 @@
 """Every scripted race, one test each, plus the shape of each operation's
 path.  Each race is paused through a stand-in for an object the array reads
 through an attribute: ``RunOnEnter`` on a node's mutex, ``SpyIndex`` on the
-bottom-node index (an action before or after its k-th probe),
+bottom-node index (an action just before or after its next probe),
 ``ActOnFirstRead`` in a node's ``parent`` (an action before a climbing
 query reads that parent), a node's slot list that acts on its first read of
 one slot, or a wrapped ``_grow`` or ``_trim_top``; ``SpyGuard`` logs the
@@ -115,50 +115,29 @@ def test_climb_sees_growth_made_inside_it():
         fired.append(True)
         array.insert(20, 20)
 
-    index.arm(grow, probe=1, after=True)
+    index.arm(grow, after=True)
     assert array.successor(1) == Entry(20, 20)
     assert fired == [True]
     assert array.capacity_snapshot().height == 3
 
 
-def _pause_before_probe(array, in_window, resume):
-    """Make the next index probe (an operation's first) pause until
-    ``resume`` is set."""
-
-    def pause():
-        in_window.set()
-        resume.wait(5)
-
-    SpyIndex.install(array).arm(pause)
-
-
 def test_paused_delete_removes_rebuilt_entry():
-    # A's delete pauses before it probes the index; B deletes the same key
-    # and re-inserts it.  A then finds the fresh node and its delete takes
-    # effect last: the rebuilt entry is (legitimately) removed.
-    in_window = threading.Event()
-    resume = threading.Event()
-    array = DcvebArray(branching=64)
-    array.insert(130, "old")
-    _pause_before_probe(array, in_window, resume)
+    # A's delete pauses before it probes the index; in the pause the same
+    # key is deleted and re-inserted.  A then finds the fresh node and its
+    # delete takes effect last: the rebuilt entry is (legitimately) removed.
+    # A holds no lock before its probe, so the rebuild runs in the pause.
+    rebuilt = []
 
-    def paused_deleter():
-        array.delete(130)
-
-    def rebuilder():
-        in_window.wait(5)
+    def rebuild():
         array.delete(130)
         array.insert(130, "new")
-        resume.set()
+        rebuilt.append(array.get(130))
 
-    threads = [threading.Thread(target=paused_deleter),
-               threading.Thread(target=rebuilder)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(10)
-    assert not any(t.is_alive() for t in threads)
-    assert in_window.is_set(), "the delete never paused at its probe"
+    array = DcvebArray(branching=64)
+    array.insert(130, "old")
+    SpyIndex.install(array).arm(rebuild)
+    array.delete(130)
+    assert rebuilt == [Entry(130, "new")], "the delete never paused at its probe"
     assert array.get(130) is None
     assert quiescent_walk(array).ok()
 
@@ -323,35 +302,24 @@ def test_trim_waits_for_a_descending_insert_and_keeps_its_root():
 
 
 def test_delete_lands_on_reused_parent_node():
-    # Same shape, but a sibling keeps the parent node alive across B's
-    # delete+reinsert, so the new entry lands in the same node.  A probes
-    # the index after B and its delete takes effect last: the key ends up
-    # absent.
-    in_window = threading.Event()
-    resume = threading.Event()
+    # Same shape, but a sibling keeps the parent node alive across the
+    # delete and re-insert in the pause, so the new entry lands in the same
+    # node.  The paused delete probes the index after them and takes effect
+    # last: the key ends up absent.
+    rebuilt = []
+
+    def rebuild():
+        array.delete(130)
+        array.insert(130, "new")
+        rebuilt.append(array.get(130))
+
     array = DcvebArray(branching=64)
     array.insert(130, "old")
     array.insert(131, "sibling")
     parent_before = array._ap.root.children[2]
-    _pause_before_probe(array, in_window, resume)
-
-    def stale_deleter():
-        array.delete(130)
-
-    def resurrecter():
-        in_window.wait(5)
-        array.delete(130)
-        array.insert(130, "new")
-        resume.set()
-
-    threads = [threading.Thread(target=stale_deleter),
-               threading.Thread(target=resurrecter)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(10)
-    assert not any(t.is_alive() for t in threads)
-    assert in_window.is_set(), "the delete never paused at its probe"
+    SpyIndex.install(array).arm(rebuild)
+    array.delete(130)
+    assert rebuilt == [Entry(130, "new")], "the delete never paused at its probe"
     assert array._ap.root.children[2] is parent_before
     assert array.get(130) is None
     assert array.get(131) == Entry(131, "sibling")
